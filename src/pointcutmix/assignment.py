@@ -23,7 +23,8 @@ from .core import Assignment, PointCloud
 # instead of materializing the full N x N matrix.
 DENSE_MATRIX_LIMIT = 4096
 
-# Row blocks used by the matrix-free path, sized to bound temp memory.
+# Bids are computed in row blocks of at most this many elements, which
+# bounds the solver's scratch memory (all of it on the matrix-free path).
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -107,33 +108,54 @@ def solve_auction(
 
     a = x1.points.astype(np.float64)
     b = x2.points.astype(np.float64)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     dense = n <= DENSE_MATRIX_LIMIT
-    c = cdist(a, b) if dense else None
 
     if dense:
-        max_cost = float(c.max())
+        # Benefits are negated costs. Negation is exact, so every bid below
+        # has the bits it would have if computed from -c row by row.
+        negc = cdist(a, b)
+        max_cost = float(negc.max())
+        np.negative(negc, out=negc)
 
-        def benefit_rows(rows):
-            return -c[rows]
+        def net_benefits(rows):
+            """Benefit minus price for the bidders in rows (an index array
+            or a slice), as a fresh array the caller may overwrite."""
+            if isinstance(rows, slice):
+                return negc[rows] - prices
+            values = negc[rows]
+            values -= prices
+            return values
 
     else:
-        rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
         max_cost = 0.0
         for lo in range(0, n, rows_per_chunk):
             max_cost = max(max_cost, float(cdist(a[lo : lo + rows_per_chunk], b).max()))
 
-        def benefit_rows(rows):
-            if len(rows) <= rows_per_chunk:
-                return -cdist(a[rows], b)
-            out = np.empty((len(rows), n))
-            for lo in range(0, len(rows), rows_per_chunk):
-                out[lo : lo + rows_per_chunk] = -cdist(a[rows[lo : lo + rows_per_chunk]], b)
-            return out
+        def net_benefits(rows):
+            values = cdist(a[rows], b)
+            np.negative(values, out=values)
+            values -= prices
+            return values
 
     if max_cost <= 0.0:
         # Every pairwise distance is zero: any bijection is optimal.
         mapping = np.arange(n, dtype=np.int64)
         return Assignment(mapping, 0.0, False)
+
+    def bid(rows):
+        """Best item and bid increment for each bidder in rows."""
+        values = net_benefits(rows)
+        r = np.arange(values.shape[0])
+        best_item = values.argmax(axis=1)
+        best_value = values[r, best_item]
+        values[r, best_item] = -np.inf
+        return best_item, best_value - values.max(axis=1) + eps
+
+    def over_budget():
+        return ConvergenceError(
+            f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
+        )
 
     prices = np.zeros(n)
     eps = max(max_cost / 4.0, config.epsilon_final)
@@ -142,22 +164,21 @@ def solve_auction(
     while True:
         item_of = np.full(n, -1, dtype=np.int64)  # bidder -> item
         owner = np.full(n, -1, dtype=np.int64)  # item -> bidder
-        unassigned = n
-        while unassigned > 0:
-            bidders = np.flatnonzero(item_of < 0)
+        bidders = np.arange(n)
+        while bidders.size > 1:
             u = bidders.size
             bids_used += u
             if bids_used > config.max_auction_rounds:
-                raise ConvergenceError(
-                    f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
-                )
-            values = benefit_rows(bidders) - prices
-            rows = np.arange(u)
-            best_item = np.argmax(values, axis=1)
-            best_value = values[rows, best_item]
-            values[rows, best_item] = -np.inf
-            second_value = values.max(axis=1)
-            increment = best_value - second_value + eps
+                raise over_budget()
+            # Row blocks bound scratch memory; bids within a Jacobi round are
+            # independent per bidder, so blocking does not change them. The
+            # full first round of a phase reads rows by slice, with no gather.
+            blocks = [
+                bid(slice(lo, lo + rows_per_chunk) if u == n else bidders[lo : lo + rows_per_chunk])
+                for lo in range(0, u, rows_per_chunk)
+            ]
+            best_item = np.concatenate([items for items, _ in blocks])
+            increment = np.concatenate([increments for _, increments in blocks])
 
             # Per contested item keep the highest bid, ties to the smaller
             # bidder index, so rounds are fully deterministic.
@@ -174,14 +195,31 @@ def solve_auction(
             item_of[displaced[displaced >= 0]] = -1
             owner[items] = winners
             item_of[winners] = items
-            unassigned = int(np.count_nonzero(item_of < 0))
+            bidders = np.flatnonzero(item_of < 0)
+
+        # A lone bidder always wins, and the only bidder of the next round
+        # is the owner it displaced: follow that chain one bid at a time.
+        bidder = int(bidders[0]) if bidders.size else -1
+        while bidder >= 0:
+            bids_used += 1
+            if bids_used > config.max_auction_rounds:
+                raise over_budget()
+            row = net_benefits(slice(bidder, bidder + 1))[0]
+            j = int(row.argmax())
+            best_value = row[j]
+            row[j] = -np.inf
+            prices[j] += best_value - row.max() + eps
+            item_of[bidder] = j
+            displaced = int(owner[j])
+            owner[j] = bidder
+            bidder = displaced
 
         if eps <= config.epsilon_final:
             break
         eps = max(eps / config.epsilon_scaling_factor, config.epsilon_final)
 
     if dense:
-        total = _total_cost(c, item_of)
+        total = float((-negc[np.arange(n), item_of]).sum())
     else:
         total = float(np.linalg.norm(a - b[item_of], axis=1).sum())
     return Assignment(item_of, total, False)

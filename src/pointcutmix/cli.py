@@ -140,7 +140,7 @@ def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: b
                 source = _parse_source(path, rel_id, class_index)
                 if require_parts and source.parts is None:
                     raise InputError("no per-point 'label' property")
-                if require_saliency and source.mesh is None and source.saliency is None:
+                if require_saliency and source.saliency is None:
                     raise InputError("no per-point 'saliency' property (required by mode 's')")
             except (ParseError, ValueError, OSError) as exc:
                 print(f"warning: skipping {rel_id}: {exc}", file=sys.stderr)

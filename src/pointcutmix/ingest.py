@@ -310,16 +310,25 @@ def farthest_point_sample(cloud: PointCloud, n: int, start_index: int) -> np.nda
         raise ValueError(f"sample count must be in [1, {n_total}], got {n}")
     if not 0 <= start_index < n_total:
         raise IndexError(f"start index {start_index} out of range for {n_total} points")
-    pts = cloud.points.astype(np.float64)
+    # One contiguous float64 column per axis, and distances accumulated in
+    # place in x, y, z order: the order ((p - q) ** 2).sum(axis=1) adds in,
+    # so every distance, and with it every pick and tie, is bitwise the same.
+    x, y, z = np.ascontiguousarray(cloud.points.T, dtype=np.float64)
+    d2 = np.empty(n_total)
+    term = np.empty(n_total)
+    d2min = np.full(n_total, np.inf)
     picked = np.empty(n, dtype=np.int64)
-    picked[0] = start_index
-    d2min = ((pts - pts[start_index]) ** 2).sum(axis=1)
-    d2min[start_index] = -1.0  # sentinel: picked points never win the argmax
+    pick = picked[0] = start_index
     for i in range(1, n):
-        pick = int(np.argmax(d2min))
-        picked[i] = pick
-        np.minimum(d2min, ((pts - pts[pick]) ** 2).sum(axis=1), out=d2min)
-        d2min[pick] = -1.0
+        np.subtract(x, x[pick], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for column in (y, z):
+            np.subtract(column, column[pick], out=term)
+            np.multiply(term, term, out=term)
+            np.add(d2, term, out=d2)
+        np.minimum(d2min, d2, out=d2min)
+        d2min[pick] = -1.0  # sentinel: picked points never win the argmax
+        pick = picked[i] = int(d2min.argmax())
     return picked
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,26 @@ def test_auction_matrix_free_path_matches_dense(rng, monkeypatch):
     chunked = solve_auction(a, b)
     assert np.array_equal(dense.mapping, chunked.mapping)
     assert chunked.total_cost == pytest.approx(dense.total_cost, rel=1e-12)
+
+
+def test_auction_matrix_free_memory_is_bounded(rng, monkeypatch):
+    n = 600
+    a = random_cloud(rng, n)
+    b = random_cloud(rng, n)
+    dense = solve_auction(a, b)
+    monkeypatch.setattr("pointcutmix.assignment.DENSE_MATRIX_LIMIT", 10)
+    monkeypatch.setattr("pointcutmix.assignment._CHUNK_ELEMENTS", 16 * n)
+    tracemalloc.start()
+    try:
+        chunked = solve_auction(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dense.mapping, chunked.mapping)
+    assert chunked.total_cost == dense.total_cost
+    # Scratch grows with the 16-row blocks, not with the n x n matrix the
+    # matrix-free path exists to avoid.
+    assert peak < n * n * 8 / 8, f"peak {peak} bytes"
 
 
 def test_auction_bid_budget_exhaustion(rng):

@@ -392,6 +392,31 @@ def test_augment_mode_s_with_saliency(tmp_path):
     assert read_manifest(out)["mixed_count"] == 6
 
 
+def test_augment_mode_s_mesh_only_dataset_fails_at_scan(tmp_path, capsys):
+    data = tmp_path / "data"
+    for name in ("boxes", "cubes"):
+        (data / name).mkdir(parents=True)
+        (data / name / f"{name}.off").write_text(UNIT_CUBE_OFF)
+    out = tmp_path / "out"
+    assert main(["augment", str(data), "--mode", "s", "--out", str(out)]) == 1
+    assert "no readable samples" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/epoch*"))
+
+
+def test_augment_mode_s_skips_meshes(tmp_path):
+    data = write_dataset(tmp_path / "data", saliency=True)
+    (data / "table" / "cube.off").write_text(UNIT_CUBE_OFF)
+    out = tmp_path / "out"
+    assert (
+        main(["augment", str(data), "--mode", "s", "--num-points", "32",
+              "--seed", "12", "--out", str(out)])
+        == 0
+    )
+    manifest = read_manifest(out)
+    assert [s["file"] for s in manifest["skipped"]] == ["table/cube.off"]
+    assert len(manifest["entries"]) == 6
+
+
 def test_augment_empty_dataset(tmp_path, capsys):
     empty = tmp_path / "data"
     empty.mkdir()
