@@ -43,7 +43,8 @@ def cloud_pairs(draw, max_n=300):
     kind = draw(st.sampled_from(["gaussian", "lattice", "duplicates"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = draw_points(rng, n, kind)
-    b = a[rng.permutation(n)] if draw(st.booleans()) and kind != "gaussian" else draw_points(rng, n, kind)
+    shuffled = draw(st.booleans()) and kind != "gaussian"  # b is a reordering of a
+    b = a[rng.permutation(n)] if shuffled else draw_points(rng, n, kind)
     return PointCloud(a), PointCloud(b)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,24 @@ def test_fps_matches_oracle():
     cloud = random_cloud(rng, 64)
     got = farthest_point_sample(cloud, 16, 7)
     assert np.array_equal(got, reference_fps(cloud.points, 16, 7))
+
+
+def test_fps_sums_squares_in_axis_order():
+    # Axis permutations of one triple lie at the same exact distance from the
+    # origin. The triples are picked so the float64 sum of the squared terms
+    # depends on their order, which the row-wise oracle fixes as x, y, z; any
+    # other order ranks the permutations differently.
+    rng = np.random.default_rng(5)
+    triples = []
+    while len(triples) < 8:
+        t = rng.standard_normal(3).astype(np.float32)
+        a, b, c = t.astype(np.float64) ** 2
+        if len({(a + b) + c, (a + c) + b, (b + c) + a}) > 1:
+            triples.append(t)
+    rows = [[0.0, 0.0, 0.0]] + [p for t in triples for p in itertools.permutations(t)]
+    pts = np.array(rows, dtype=np.float32)
+    picks = farthest_point_sample(PointCloud(pts), len(pts), 0)
+    assert np.array_equal(picks, reference_fps(pts, len(pts), 0))
 
 
 def test_fps_tie_goes_to_smaller_index():
