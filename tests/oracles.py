@@ -9,12 +9,14 @@ in the test files were produced by running them once.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from pointcutmix.assignment import ConvergenceError, SolverConfig, cost
-from pointcutmix.core import Assignment
+from pointcutmix.core import Assignment, PartLabels, PointCloud, SaliencyWeights
+from pointcutmix.ingest import ParseError
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,3 +176,144 @@ def mixed_points(x1: np.ndarray, x2: np.ndarray, mapping: np.ndarray, keep: np.n
 
 def mixed_label(y1: np.ndarray, y2: np.ndarray, lam: float) -> np.ndarray:
     return lam * np.asarray(y1, dtype=np.float64) + (1.0 - lam) * np.asarray(y2, dtype=np.float64)
+
+
+def reference_parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:
+    """Frozen copy of parse_ply as first released: one Python float() per
+    field, one row at a time. The library's parser must return the same
+    arrays bit for bit, or raise the same exception with the same message,
+    on every input outside the ones it deliberately rejects (non-integer or
+    out-of-range labels, bad element counts, vertex list properties).
+
+    Parse an ASCII PLY vertex cloud. Properties x, y, z are required;
+    integer "label" and float "saliency" properties are picked up when
+    present, other properties are ignored. Binary PLY is rejected."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise ParseError("line 1: not a PLY file (missing 'ply' magic)")
+
+    n_vertices = None
+    properties: list[str] = []
+    in_vertex_element = False
+    body_start = None
+    for idx in range(1, len(lines)):
+        line = lines[idx].strip()
+        num = idx + 1
+        if not line or line.startswith("comment"):
+            continue
+        if line == "end_header":
+            body_start = idx + 1
+            break
+        fields = line.split()
+        keyword = fields[0]
+        if keyword == "format":
+            if len(fields) < 2 or fields[1] != "ascii":
+                kind = fields[1] if len(fields) > 1 else "?"
+                raise ParseError(f"line {num}: unsupported PLY format {kind!r} (ASCII only)")
+        elif keyword == "element":
+            if len(fields) < 3:
+                raise ParseError(f"line {num}: malformed element declaration")
+            name, count = fields[1], int(fields[2])
+            if name == "vertex":
+                n_vertices = count
+                in_vertex_element = True
+            else:
+                if count > 0:
+                    raise ParseError(f"line {num}: unsupported element {name!r} with {count} entries")
+                in_vertex_element = False
+        elif keyword == "property":
+            if in_vertex_element:
+                if len(fields) < 3:
+                    raise ParseError(f"line {num}: malformed property declaration")
+                properties.append(fields[-1])
+        elif keyword == "obj_info":
+            continue
+        else:
+            raise ParseError(f"line {num}: unrecognized header keyword {keyword!r}")
+    if body_start is None:
+        raise ParseError(f"line {len(lines)}: PLY header never reaches end_header")
+    if n_vertices is None:
+        raise ParseError("PLY header declares no vertex element")
+    for required in ("x", "y", "z"):
+        if required not in properties:
+            raise ParseError(f"PLY vertex element lacks required property {required!r}")
+
+    columns = {name: i for i, name in enumerate(properties)}
+    rows = np.empty((n_vertices, len(properties)), dtype=np.float64)
+    filled = 0
+    for idx in range(body_start, len(lines)):
+        line = lines[idx].strip()
+        if not line:
+            continue
+        if filled == n_vertices:
+            raise ParseError(f"line {idx + 1}: more data rows than declared vertices")
+        fields = line.split()
+        if len(fields) < len(properties):
+            raise ParseError(
+                f"line {idx + 1}: expected {len(properties)} fields, found {len(fields)}"
+            )
+        try:
+            rows[filled] = [float(f) for f in fields[: len(properties)]]
+        except ValueError:
+            raise ParseError(f"line {idx + 1}: non-numeric field") from None
+        filled += 1
+    if filled != n_vertices:
+        raise ParseError(
+            f"line {len(lines)}: expected {n_vertices} vertex rows, found {filled}"
+        )
+
+    cloud = PointCloud(
+        rows[:, [columns["x"], columns["y"], columns["z"]]].astype(np.float32)
+    )
+    labels = None
+    if "label" in columns:
+        labels = PartLabels(rows[:, columns["label"]].astype(np.int32))
+    saliency = None
+    if "saliency" in columns:
+        saliency = SaliencyWeights(rows[:, columns["saliency"]].astype(np.float32))
+    return cloud, labels, saliency
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".9g")
+
+
+def reference_write_ply(
+    cloud: PointCloud,
+    parts: Optional[PartLabels] = None,
+    saliency: Optional[SaliencyWeights] = None,
+) -> str:
+    """Frozen copy of write_ply as first released: one format() call per
+    value. The library's writer must produce the same bytes.
+
+    Serialize to ASCII PLY text (9 significant digits, lossless for the
+    32-bit storage). Property order: x, y, z, then label, then saliency."""
+    n = len(cloud)
+    if parts is not None and len(parts.labels) != n:
+        raise ValueError("part labels must match the cloud size")
+    if saliency is not None and len(saliency.values) != n:
+        raise ValueError("saliency weights must match the cloud size")
+    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    header += ["property float x", "property float y", "property float z"]
+    if parts is not None:
+        header.append("property int label")
+    if saliency is not None:
+        header.append("property float saliency")
+    header.append("end_header")
+
+    out = header
+    for i in range(n):
+        fields = [_fmt(v) for v in cloud.points[i]]
+        if parts is not None:
+            fields.append(str(int(parts.labels[i])))
+        if saliency is not None:
+            fields.append(_fmt(saliency.values[i]))
+        out.append(" ".join(fields))
+    return "\n".join(out) + "\n"
+
+
+def reference_write_xyz(cloud: PointCloud) -> str:
+    """Frozen copy of write_xyz as first released."""
+    return "\n".join(" ".join(_fmt(v) for v in p) for p in cloud.points) + "\n"
