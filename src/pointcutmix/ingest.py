@@ -129,7 +129,66 @@ def parse_off(text) -> TriangleMesh:
         raise ParseError(str(exc)) from None
 
 
-_PLY_FLOAT_TYPES = {"float", "float32", "double", "float64"}
+_INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+
+# Characters that str.splitlines() or str.split() treat as breaks but
+# np.loadtxt does not; a body holding one is left to the line scan.
+_SCAN_ONLY_CHARS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _element_count(field: str, num: int) -> int:
+    try:
+        count = int(field)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ParseError(f"line {num}: element count must be a non-negative integer, got {field!r}")
+    return count
+
+
+def _read_rows_fast(body: list[str], n_rows: int, n_cols: int) -> Optional[np.ndarray]:
+    """The first n_cols fields of every non-blank body line as float64 rows,
+    read by np.loadtxt, or None when the line scan must decide.
+
+    On ASCII text without the characters above, loadtxt splits lines and
+    fields exactly as str.split() does and parses each field with the same
+    correctly rounded conversion as float(), so any result it returns is the
+    scan's result bit for bit. It rejects what float() also accepts
+    (underscores, non-ASCII digits), and a wrong row or field count is the
+    scan's error to report, with its line number: all of these return None.
+    """
+    joined = "".join(body)
+    if not joined.isascii() or not joined.strip() or any(c in joined for c in _SCAN_ONLY_CHARS):
+        return None  # an all-blank body would also make loadtxt warn
+    try:
+        rows = np.loadtxt(body, dtype=np.float64, comments=None, usecols=range(n_cols), ndmin=2)
+    except ValueError:
+        return None
+    return rows if len(rows) == n_rows else None
+
+
+def _scan_rows(lines: list[str], start: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, list[int]]:
+    """The body rows read one line at a time, with each row's 1-based line
+    number; raises a ParseError naming the first offending line."""
+    rows = np.empty((n_rows, n_cols), dtype=np.float64)
+    row_lines = []
+    for idx in range(start, len(lines)):
+        line = lines[idx].strip()
+        if not line:
+            continue
+        if len(row_lines) == n_rows:
+            raise ParseError(f"line {idx + 1}: more data rows than declared vertices")
+        fields = line.split()
+        if len(fields) < n_cols:
+            raise ParseError(f"line {idx + 1}: expected {n_cols} fields, found {len(fields)}")
+        try:
+            rows[len(row_lines)] = [float(f) for f in fields[:n_cols]]
+        except ValueError:
+            raise ParseError(f"line {idx + 1}: non-numeric field") from None
+        row_lines.append(idx + 1)
+    if len(row_lines) != n_rows:
+        raise ParseError(f"line {len(lines)}: expected {n_rows} vertex rows, found {len(row_lines)}")
+    return rows, row_lines
 
 
 def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:
@@ -163,7 +222,7 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
         elif keyword == "element":
             if len(fields) < 3:
                 raise ParseError(f"line {num}: malformed element declaration")
-            name, count = fields[1], int(fields[2])
+            name, count = fields[1], _element_count(fields[2], num)
             if name == "vertex":
                 n_vertices = count
                 in_vertex_element = True
@@ -175,6 +234,8 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
             if in_vertex_element:
                 if len(fields) < 3:
                     raise ParseError(f"line {num}: malformed property declaration")
+                if fields[1] == "list":
+                    raise ParseError(f"line {num}: list property {fields[-1]!r} in the vertex element")
                 properties.append(fields[-1])
         elif keyword == "obj_info":
             continue
@@ -189,28 +250,20 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
             raise ParseError(f"PLY vertex element lacks required property {required!r}")
 
     columns = {name: i for i, name in enumerate(properties)}
-    rows = np.empty((n_vertices, len(properties)), dtype=np.float64)
-    filled = 0
-    for idx in range(body_start, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
-        if filled == n_vertices:
-            raise ParseError(f"line {idx + 1}: more data rows than declared vertices")
-        fields = line.split()
-        if len(fields) < len(properties):
+    rows = _read_rows_fast(lines[body_start:], n_vertices, len(properties))
+    row_lines = None
+    if rows is None:
+        rows, row_lines = _scan_rows(lines, body_start, n_vertices, len(properties))
+    if "label" in columns:
+        label = rows[:, columns["label"]]
+        in_range = (label >= _INT32_MIN) & (label <= _INT32_MAX)  # False for nan
+        bad = np.flatnonzero(~(in_range & (label == np.trunc(label))))
+        if bad.size:
+            if row_lines is None:
+                _, row_lines = _scan_rows(lines, body_start, n_vertices, len(properties))
             raise ParseError(
-                f"line {idx + 1}: expected {len(properties)} fields, found {len(fields)}"
+                f"line {row_lines[bad[0]]}: label {float(label[bad[0]])!r} is not an int32 integer"
             )
-        try:
-            rows[filled] = [float(f) for f in fields[: len(properties)]]
-        except ValueError:
-            raise ParseError(f"line {idx + 1}: non-numeric field") from None
-        filled += 1
-    if filled != n_vertices:
-        raise ParseError(
-            f"line {len(lines)}: expected {n_vertices} vertex rows, found {filled}"
-        )
 
     cloud = PointCloud(
         rows[:, [columns["x"], columns["y"], columns["z"]]].astype(np.float32)
@@ -224,8 +277,13 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
     return cloud, labels, saliency
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+_XYZ_TEMPLATE = "%.9g %.9g %.9g"
+
+
+def _rows(template: str, columns) -> list[str]:
+    """One line per point from per-property columns. "%.9g" of a float is
+    the text format(float(v), ".9g") gives; "%d" of an int is str(int(v))."""
+    return [template % row for row in zip(*(column.tolist() for column in columns))]
 
 
 def write_ply(
@@ -242,21 +300,17 @@ def write_ply(
         raise ValueError("saliency weights must match the cloud size")
     header = ["ply", "format ascii 1.0", f"element vertex {n}"]
     header += ["property float x", "property float y", "property float z"]
+    template, columns = _XYZ_TEMPLATE, list(cloud.points.T)
     if parts is not None:
         header.append("property int label")
+        template += " %d"
+        columns.append(parts.labels)
     if saliency is not None:
         header.append("property float saliency")
+        template += " %.9g"
+        columns.append(saliency.values)
     header.append("end_header")
-
-    out = header
-    for i in range(n):
-        fields = [_fmt(v) for v in cloud.points[i]]
-        if parts is not None:
-            fields.append(str(int(parts.labels[i])))
-        if saliency is not None:
-            fields.append(_fmt(saliency.values[i]))
-        out.append(" ".join(fields))
-    return "\n".join(out) + "\n"
+    return "\n".join(header + _rows(template, columns)) + "\n"
 
 
 def parse_xyz(text) -> PointCloud:
@@ -274,7 +328,7 @@ def parse_xyz(text) -> PointCloud:
 
 
 def write_xyz(cloud: PointCloud) -> str:
-    return "\n".join(" ".join(_fmt(v) for v in p) for p in cloud.points) + "\n"
+    return "\n".join(_rows(_XYZ_TEMPLATE, cloud.points.T)) + "\n"
 
 
 def sample_surface(mesh: TriangleMesh, n: int, rng: RngStream) -> PointCloud:

@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from pointcutmix import ingest
 from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights
 from pointcutmix.ingest import (
     ParseError,
@@ -192,6 +194,122 @@ def test_ply_short_row_names_line():
     )
     with pytest.raises(ParseError, match="line 8"):
         parse_ply(text)
+
+
+LABELED_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {n}\n"
+    "property float x\nproperty float y\nproperty float z\nproperty int label\nend_header\n"
+)
+
+
+@pytest.fixture(params=["fast", "scan"])
+def body_reads(request, monkeypatch):
+    """Runs a test once with the vectorized body reader and once with it
+    declining every body, so that the line scan reads it. Returns a list
+    that records, per call of the fast reader, whether it read the body."""
+    reads = []
+    if request.param == "scan":
+        monkeypatch.setattr(ingest, "_read_rows_fast", lambda *args: None)
+    else:
+        real = ingest._read_rows_fast
+
+        def spy(*args):
+            rows = real(*args)
+            reads.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(ingest, "_read_rows_fast", spy)
+    return reads
+
+
+def test_ply_fast_reader_reads_written_files(body_reads):
+    rng = np.random.default_rng(62)
+    cloud = random_cloud(rng, 50)
+    parts = PartLabels(rng.integers(-5, 5, size=50).astype(np.int32))
+    parsed, labels, _ = parse_ply(write_ply(cloud, parts))
+    assert np.array_equal(parsed.points.view(np.uint32), cloud.points.view(np.uint32))
+    assert np.array_equal(labels.labels, parts.labels)
+    assert body_reads in ([], [True])
+
+
+@pytest.mark.parametrize("body", ["1_0 2 3\n", "\u0661 2 3\n", "1\x1f2 3\n", "1 2\x0c3\n", "1\u30002 3\n"])
+def test_ply_defers_doubtful_bodies_to_the_scan(body):
+    """float() and str.split() accept these; np.loadtxt does not, or splits
+    them differently. The scan decides, with no warning."""
+    header = LABELED_HEADER.replace("property int label\n", "").format(n=1)
+    text = header + body
+    try:
+        expected = ("ok", ingest._scan_rows(text.splitlines(), 7, 1, 3)[0].tolist())
+    except ParseError as exc:
+        expected = ("error", str(exc))
+    assert ingest._read_rows_fast(text.splitlines()[7:], 1, 3) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = ("ok", parse_ply(text)[0].points.astype(np.float64).tolist())
+        except ParseError as exc:
+            got = ("error", str(exc))
+    assert got == expected
+
+
+def test_ply_empty_body_names_line_without_warning(body_reads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="line 9: expected 2 vertex rows, found 0"):
+            parse_ply(LABELED_HEADER.format(n=2) + "\n")
+
+
+def test_ply_rejects_non_integral_label(body_reads):
+    text = LABELED_HEADER.format(n=2) + "0 0 0 1\n\n0 0 1 1.7\n"
+    with pytest.raises(ParseError, match=r"^line 11: label 1\.7 is not an int32 integer$"):
+        parse_ply(text)
+    assert body_reads in ([], [True])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "3e9", "2147483648", "-2147483649", "1e500"])
+def test_ply_rejects_label_outside_int32(body_reads, value):
+    text = LABELED_HEADER.format(n=3) + f"0 0 0 1\n0 0 1 2\n0 1 0 {value}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"^line 11: label .* is not an int32 integer$"):
+            parse_ply(text)
+
+
+def test_ply_accepts_int32_labels_in_any_float_spelling(body_reads):
+    text = LABELED_HEADER.format(n=4) + "0 0 0 2147483647\n0 0 1 -2147483648\n0 1 0 1e3\n1 0 0 -0.0\n"
+    _, labels, _ = parse_ply(text)
+    assert labels.labels.tolist() == [2147483647, -2147483648, 1000, 0]
+
+
+@pytest.mark.parametrize("count", ["-1", "1.5", "x", "1e3"])
+def test_ply_rejects_bad_element_count(body_reads, count):
+    text = LABELED_HEADER.format(n=count) + "0 0 0 1\n"
+    with pytest.raises(ParseError, match=f"^line 3: element count must be a non-negative integer, got '{count}'$"):
+        parse_ply(text)
+
+
+def test_ply_rejects_bad_count_of_other_elements(body_reads):
+    text = LABELED_HEADER.format(n=1).replace("end_header", "element face -1\nend_header") + "0 0 0 1\n"
+    with pytest.raises(ParseError, match="^line 8: element count"):
+        parse_ply(text)
+
+
+def test_ply_rejects_vertex_list_property(body_reads):
+    text = (
+        "ply\nformat ascii 1.0\nelement vertex 1\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property list uchar int label\nend_header\n0 0 0 2 5 6\n"
+    )
+    with pytest.raises(ParseError, match="^line 7: list property 'label' in the vertex element$"):
+        parse_ply(text)
+
+
+def test_ply_ignores_list_property_of_empty_face_element(body_reads):
+    text = LABELED_HEADER.format(n=1).replace(
+        "end_header", "element face 0\nproperty list uchar int vertex_indices\nend_header"
+    ) + "0 0 0 4\n"
+    _, labels, _ = parse_ply(text)
+    assert labels.labels.tolist() == [4]
 
 
 # --- XYZ ----------------------------------------------------------------------
