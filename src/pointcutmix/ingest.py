@@ -169,26 +169,27 @@ def _read_rows_fast(body: list[str], n_rows: int, n_cols: int) -> Optional[np.nd
 
 def _scan_rows(lines: list[str], start: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, list[int]]:
     """The body rows read one line at a time, with each row's 1-based line
-    number; raises a ParseError naming the first offending line."""
-    rows = np.empty((n_rows, n_cols), dtype=np.float64)
-    row_lines = []
+    number; raises a ParseError naming the first offending line. Rows are
+    collected as read, so a declared count far beyond the body allocates
+    nothing."""
+    rows, row_lines = [], []
     for idx in range(start, len(lines)):
         line = lines[idx].strip()
         if not line:
             continue
-        if len(row_lines) == n_rows:
+        if len(rows) == n_rows:
             raise ParseError(f"line {idx + 1}: more data rows than declared vertices")
         fields = line.split()
         if len(fields) < n_cols:
             raise ParseError(f"line {idx + 1}: expected {n_cols} fields, found {len(fields)}")
         try:
-            rows[len(row_lines)] = [float(f) for f in fields[:n_cols]]
+            rows.append([float(f) for f in fields[:n_cols]])
         except ValueError:
             raise ParseError(f"line {idx + 1}: non-numeric field") from None
         row_lines.append(idx + 1)
-    if len(row_lines) != n_rows:
-        raise ParseError(f"line {len(lines)}: expected {n_rows} vertex rows, found {len(row_lines)}")
-    return rows, row_lines
+    if len(rows) != n_rows:
+        raise ParseError(f"line {len(lines)}: expected {n_rows} vertex rows, found {len(rows)}")
+    return np.array(rows, dtype=np.float64).reshape(n_rows, n_cols), row_lines
 
 
 def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:

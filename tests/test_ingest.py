@@ -288,6 +288,14 @@ def test_ply_rejects_bad_element_count(body_reads, count):
         parse_ply(text)
 
 
+def test_ply_huge_vertex_count_is_a_parse_error(body_reads):
+    """A declared count far beyond the body is reported, not allocated: an
+    array of 10**15 rows would raise MemoryError, which aborts a batch."""
+    text = LABELED_HEADER.format(n=10**15) + "0 0 0 1\n"
+    with pytest.raises(ParseError, match=f"^line 9: expected {10**15} vertex rows, found 1$"):
+        parse_ply(text)
+
+
 def test_ply_rejects_bad_count_of_other_elements(body_reads):
     text = LABELED_HEADER.format(n=1).replace("end_header", "element face -1\nend_header") + "0 0 0 1\n"
     with pytest.raises(ParseError, match="^line 8: element count"):
