@@ -131,8 +131,9 @@ def parse_off(text) -> TriangleMesh:
 
 _INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
 
-# Characters that str.splitlines() or str.split() treat as breaks but
-# np.loadtxt does not; a body holding one is left to the line scan.
+# Characters on which str.splitlines() or str.split() break text where
+# np.loadtxt does not, or not in the same way; a body holding one is left to
+# the line scan.
 _SCAN_ONLY_CHARS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
