@@ -5,6 +5,16 @@ solved exactly by a shortest-augmenting-path assignment solver; larger
 ones by an epsilon-scaling auction whose final prices certify that the
 returned cost exceeds the optimum by at most N * epsilon_final.
 
+The auction keeps, per bidder, an exact cache of its top items (Bertsekas'
+"third-best" bookkeeping, generalized to m items): their columns, their
+benefits, and the threshold T, the (m+1)-th net value when the row was
+read. Prices only rise, by at least epsilon per bid, and fl(b - p) is
+monotone in p, so no uncached net value ever exceeds T. A bid whose cached
+best is above T and cached second at least T therefore picks the same item
+with the same increment, bit for bit, as a scan of the full row; any other
+bid scans the full row and refills the cache. The cache holds n * m
+entries, at most an eighth of a row block.
+
 All arithmetic runs in 64-bit regardless of the 32-bit point storage.
 Solvers are pure functions: concurrent solves on distinct inputs are safe.
 """
@@ -26,6 +36,15 @@ DENSE_MATRIX_LIMIT = 4096
 # Bids are computed in row blocks of at most this many elements, which
 # bounds the solver's scratch memory (all of it on the matrix-free path).
 _CHUNK_ELEMENTS = 1 << 22
+
+# Widest bid cache kept per bidder of the auction.
+_CACHE_WIDTH = 128
+
+
+def _cache_width(n: int) -> int:
+    """Items cached per bidder: at most n - 1, and n * width at most an
+    eighth of a row block."""
+    return max(1, min(_CACHE_WIDTH, n - 1, _CHUNK_ELEMENTS // (8 * n)))
 
 
 class ConvergenceError(RuntimeError):
@@ -101,6 +120,12 @@ def solve_auction(
     slackness at the final epsilon, so the returned total cost is within
     N * config.epsilon_final of the exact optimum. Deterministic for fixed
     inputs and config.
+
+    Bids read each bidder's top-m cache (see the module docstring), which
+    persists across epsilon phases; only bids it cannot decide read the
+    full row. Because the cached columns are kept in ascending order, ties
+    still go to the first index, so mappings and total_cost bits are those
+    of a full scan of every row.
     """
     n = _require_same_size(x1, x2)
     if n == 1:
@@ -118,39 +143,70 @@ def solve_auction(
         max_cost = float(negc.max())
         np.negative(negc, out=negc)
 
-        def net_benefits(rows):
-            """Benefit minus price for the bidders in rows (an index array
-            or a slice), as a fresh array the caller may overwrite."""
-            if isinstance(rows, slice):
-                return negc[rows] - prices
-            values = negc[rows]
-            values -= prices
-            return values
+        def benefit_rows(rows):
+            """Benefits of the bidders in rows, as a fresh array."""
+            return negc[rows]
 
     else:
         max_cost = 0.0
         for lo in range(0, n, rows_per_chunk):
             max_cost = max(max_cost, float(cdist(a[lo : lo + rows_per_chunk], b).max()))
 
-        def net_benefits(rows):
+        def benefit_rows(rows):
             values = cdist(a[rows], b)
-            np.negative(values, out=values)
-            values -= prices
-            return values
+            return np.negative(values, out=values)
 
     if max_cost <= 0.0:
         # Every pairwise distance is zero: any bijection is optimal.
         mapping = np.arange(n, dtype=np.int64)
         return Assignment(mapping, 0.0, False)
 
+    # Bid cache: each bidder's top-m items (columns ascending), their
+    # benefits, and the (m+1)-th net value when the row was filled. Empty
+    # rows have an infinite threshold, so their first bid misses.
+    m = _cache_width(n)
+    cache_cols = np.zeros((n, m), dtype=np.int64)
+    cache_benefits = np.zeros((n, m))
+    threshold = np.full(n, np.inf)
+    refill_rows = max(1, _CHUNK_ELEMENTS // 64 // n)
+    ramp = np.arange(rows_per_chunk)
+
     def bid(rows):
-        """Best item and bid increment for each bidder in rows."""
-        values = net_benefits(rows)
-        r = np.arange(values.shape[0])
+        """Best item and bid increment for each bidder in rows (an index
+        array): from the cache where it decides the bid, else from the full
+        row, in sub-blocks that bound the refill's scratch memory."""
+        cols = cache_cols[rows]
+        values = cache_benefits[rows] - prices[cols]
+        r = ramp[: len(rows)]
+        best = values.argmax(axis=1)
+        best_item = cols[r, best]
+        best_value = values[r, best]
+        values[r, best] = -np.inf
+        second_value = values.max(axis=1)
+        limit = threshold[rows]
+        hit = (best_value > limit) & (second_value >= limit)
+        if not hit.all():
+            missed = (~hit).nonzero()[0]
+            for lo in range(0, missed.size, refill_rows):
+                at = missed[lo : lo + refill_rows]
+                best_item[at], best_value[at], second_value[at] = bid_full_rows(rows[at])
+        return best_item, best_value - second_value + eps
+
+    def bid_full_rows(rows):
+        """Best item, best and second net value of full rows; refills their
+        caches on the way."""
+        benefits = benefit_rows(rows)
+        values = benefits - prices
+        r = ramp[: len(rows)]
+        top = np.argpartition(values, n - m - 1, axis=1)
+        threshold[rows] = values[r, top[:, n - m - 1]]
+        cols = np.sort(top[:, n - m :], axis=1)
+        cache_cols[rows] = cols
+        cache_benefits[rows] = benefits[r[:, None], cols]
         best_item = values.argmax(axis=1)
         best_value = values[r, best_item]
         values[r, best_item] = -np.inf
-        return best_item, best_value - values.max(axis=1) + eps
+        return best_item, best_value, values.max(axis=1)
 
     def over_budget():
         return ConvergenceError(
@@ -171,12 +227,8 @@ def solve_auction(
             if bids_used > config.max_auction_rounds:
                 raise over_budget()
             # Row blocks bound scratch memory; bids within a Jacobi round are
-            # independent per bidder, so blocking does not change them. The
-            # full first round of a phase reads rows by slice, with no gather.
-            blocks = [
-                bid(slice(lo, lo + rows_per_chunk) if u == n else bidders[lo : lo + rows_per_chunk])
-                for lo in range(0, u, rows_per_chunk)
-            ]
+            # independent per bidder, so blocking does not change them.
+            blocks = [bid(bidders[lo : lo + rows_per_chunk]) for lo in range(0, u, rows_per_chunk)]
             best_item = np.concatenate([items for items, _ in blocks])
             increment = np.concatenate([increments for _, increments in blocks])
 
@@ -198,17 +250,25 @@ def solve_auction(
             bidders = np.flatnonzero(item_of < 0)
 
         # A lone bidder always wins, and the only bidder of the next round
-        # is the owner it displaced: follow that chain one bid at a time.
+        # is the owner it displaced: follow that chain one bid at a time,
+        # with bid()'s cache test in scalar form.
         bidder = int(bidders[0]) if bidders.size else -1
         while bidder >= 0:
             bids_used += 1
             if bids_used > config.max_auction_rounds:
                 raise over_budget()
-            row = net_benefits(slice(bidder, bidder + 1))[0]
-            j = int(row.argmax())
-            best_value = row[j]
-            row[j] = -np.inf
-            prices[j] += best_value - row.max() + eps
+            cols = cache_cols[bidder]
+            values = cache_benefits[bidder] - prices[cols]
+            k = values.argmax()
+            best_value = values[k]
+            values[k] = -np.inf
+            second_value = values.max()
+            if best_value > threshold[bidder] and second_value >= threshold[bidder]:
+                j = int(cols[k])
+            else:
+                items, best, second = bid_full_rows(np.array([bidder]))
+                j, best_value, second_value = int(items[0]), best[0], second[0]
+            prices[j] += best_value - second_value + eps
             item_of[bidder] = j
             displaced = int(owner[j])
             owner[j] = bidder

@@ -275,14 +275,18 @@ class MixedSample:
         label: LabelDistribution,
         part_labels: Optional[PartLabels] = None,
         source_ids: tuple = (),
+        *,
+        mode: Optional[str] = None,
+        beta: Optional[float] = None,
     ) -> "MixedSample":
-        """An unmixed sample (closed gate): everything kept, label untouched."""
+        """An unmixed sample (closed gate): everything kept, label untouched.
+        mode and beta record the policy whose gate stayed closed, if any."""
         n = len(cloud)
         return cls(
             cloud=cloud,
             label=label,
             mask=ReplacementMask.all_kept(n),
-            params=MixParams(lam=1.0, n_kept=n),
+            params=MixParams(lam=1.0, n_kept=n, mode=mode, beta=beta),
             part_labels=part_labels,
             gated=True,
             source_ids=tuple(source_ids),

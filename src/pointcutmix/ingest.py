@@ -45,9 +45,19 @@ class TriangleMesh:
         object.__setattr__(self, "faces", faces)
 
 
+def _split_lines(text: str) -> list[str]:
+    r"""The text's lines, numbered as the file numbers them: each ends at
+    "\n", "\r\n" or a lone "\r". (str.splitlines() also ends lines at
+    "\x0b", "\x0c", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029".)"""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _content_lines(text: str):
     """(line_number, stripped_line) pairs, skipping blanks and # comments."""
-    for num, raw in enumerate(text.splitlines(), start=1):
+    for num, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield num, line
@@ -131,9 +141,8 @@ def parse_off(text) -> TriangleMesh:
 
 _INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
 
-# Characters on which str.splitlines() or str.split() break text where
-# np.loadtxt does not, or not in the same way; a body holding one is left to
-# the line scan.
+# Control characters that str.split() takes for whitespace: a body holding
+# one is left to the line scan rather than trusted to np.loadtxt.
 _SCAN_ONLY_CHARS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
@@ -199,7 +208,7 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
     present, other properties are ignored. Binary PLY is rejected."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    lines = text.splitlines()
+    lines = _split_lines(text)
     if not lines or lines[0].strip() != "ply":
         raise ParseError("line 1: not a PLY file (missing 'ply' magic)")
 

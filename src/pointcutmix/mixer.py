@@ -16,6 +16,7 @@ not be shared across concurrent calls.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional, Sequence
 
@@ -147,16 +148,7 @@ def apply_mix_segmentation(
         params=params, center_index=center_index, source_ids=source_ids,
     )
     labels = np.where(mask.keep, parts1.labels, parts2.labels[assignment.mapping])
-    return MixedSample(
-        cloud=base.cloud,
-        label=base.label,
-        mask=base.mask,
-        params=base.params,
-        part_labels=PartLabels(labels),
-        assignment=base.assignment,
-        center_index=base.center_index,
-        source_ids=base.source_ids,
-    )
+    return dataclasses.replace(base, part_labels=PartLabels(labels))
 
 
 def _build_mask(
@@ -244,16 +236,7 @@ def pointcutmix(
     """
     _check_pair(x1, y1, x2, y2)
     if rng.random() >= policy.mix_prob:
-        params = MixParams(lam=1.0, n_kept=len(x1), mode=policy.mode, beta=policy.beta)
-        return MixedSample(
-            cloud=x1,
-            label=y1,
-            mask=ReplacementMask.all_kept(len(x1)),
-            params=params,
-            part_labels=parts1,
-            gated=True,
-            source_ids=tuple(source_ids),
-        )
+        return MixedSample.passthrough(x1, y1, parts1, source_ids, mode=policy.mode, beta=policy.beta)
     lam = sample_lambda(policy.beta, rng)
     return mix_pair(
         x1, y1, x2, y2, lam, policy.mode, rng,

@@ -180,6 +180,21 @@ def test_auction_matrix_free_memory_is_bounded(rng, monkeypatch):
     assert peak < n * n * 8 / 8, f"peak {peak} bytes"
 
 
+def test_auction_dense_memory_is_bounded(rng):
+    n = 2048
+    a = random_cloud(rng, n)
+    b = random_cloud(rng, n)
+    tracemalloc.start()
+    try:
+        solve_auction(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One n x n benefit matrix plus scratch: the bid cache, row blocks and
+    # refills together stay well below a second matrix.
+    assert peak < 1.5 * n * n * 8, f"peak {peak} bytes"
+
+
 def test_auction_bid_budget_exhaustion(rng):
     a = random_cloud(rng, 32)
     b = random_cloud(rng, 32)

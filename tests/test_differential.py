@@ -5,7 +5,9 @@ The references in oracles.py are the released implementations. Any rewrite
 of solve_auction or farthest_point_sample must reproduce them bit for bit
 (mappings, total_cost, picked indices, convergence failures), so output
 files stay byte-identical. Inputs stress tie rules: duplicate points and
-lattice coordinates, where many distances are exactly equal.
+lattice coordinates, where many distances are exactly equal. The auction's
+bid cache is also run at widths of 2 to 5 items, where nearly every bid
+misses, refills or ties at the cache threshold.
 
 The PLY writers must emit the reference bytes, and parse_ply must return the
 reference arrays bit for bit or raise the reference exception with the same
@@ -112,6 +114,69 @@ def test_auction_matches_reference_on_fixtures_at_1024():
     assert outcome(solve_auction, chair, plane) == outcome(reference_auction, chair, plane)
 
 
+# The bid cache at widths of 2 to 5 items: nearly every bid then misses,
+# refills or meets a tie at the cache threshold.
+def narrow_cache(mp, width):
+    mp.setattr(assignment, "_cache_width", lambda n: min(width, n - 1))
+
+
+@PROPERTY
+@given(cloud_pairs(), st.integers(2, 5))
+def test_auction_narrow_cache_dense_matches_reference(pair, width):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        narrow_cache(mp, width)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b)
+
+
+@PROPERTY
+@given(cloud_pairs(max_n=120), st.integers(2, 5))
+def test_auction_narrow_cache_matrix_free_matches_reference(pair, width):
+    a, b = pair
+    n = len(a)
+    chunk = n * (1 + n % 7)  # 1 to 7 rows per block
+    with pytest.MonkeyPatch.context() as mp:
+        narrow_cache(mp, width)
+        mp.setattr(assignment, "DENSE_MATRIX_LIMIT", 1)
+        mp.setattr(assignment, "_CHUNK_ELEMENTS", chunk)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b, dense_limit=1, chunk_elements=chunk)
+
+
+@PROPERTY
+@given(cloud_pairs(max_n=80), st.integers(1, 2000), st.booleans(), st.integers(2, 5))
+def test_auction_narrow_cache_bid_budget_matches_reference(pair, budget, dense, width):
+    a, b = pair
+    config = SolverConfig(max_auction_rounds=budget)
+    limit = assignment.DENSE_MATRIX_LIMIT if dense else 1
+    with pytest.MonkeyPatch.context() as mp:
+        narrow_cache(mp, width)
+        mp.setattr(assignment, "DENSE_MATRIX_LIMIT", limit)
+        got = outcome(solve_auction, a, b, config)
+    assert got == outcome(reference_auction, a, b, config, dense_limit=limit)
+
+
+@pytest.fixture(scope="module")
+def fixtures_1024():
+    """chair/airplane at N = 1024 and the reference outcome of their solve."""
+    with open(os.path.join(FIXTURES, "chair.ply")) as fh:
+        chair, _, _ = parse_ply(fh.read())
+    with open(os.path.join(FIXTURES, "airplane.ply")) as fh:
+        plane, _, _ = parse_ply(fh.read())
+    return chair, plane, outcome(reference_auction, chair, plane)
+
+
+@pytest.mark.parametrize("width", [2, 3, None])
+def test_auction_cache_widths_match_reference_on_fixtures_at_1024(fixtures_1024, width, monkeypatch):
+    chair, plane, expected = fixtures_1024
+    if width is not None:
+        narrow_cache(monkeypatch, width)
+    else:
+        assert assignment._cache_width(len(chair)) == assignment._CACHE_WIDTH
+    assert outcome(solve_auction, chair, plane) == expected
+
+
 @PROPERTY
 @given(
     st.integers(1, 600),
@@ -172,8 +237,10 @@ ODD_TOKENS = ["1_0", "1__0", "_1", "1_", "\u0661", "\u0663.\u0665", "0x1", "1.5.
 LABEL_SAFE_TOKENS = ["1_0", "1__0", "_1", "\u0661", "\u0662\u0663", "1e3", "-0", "abc", "#"]
 NON_FINITE = ["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e500", "-1e500", "1e39"]
 EXTRA_FIELDS = ["0", "7", "-3", "1e3", "x", "#", "\u0661"]
-SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
-              "\u2028", "\u3000"]
+# The separators str.splitlines() takes for line ends ("\x0b", "\x0c",
+# "\x1c"-"\x1e", "\x85", "\u2028", "\u2029") are left out: parse_ply ends
+# lines only at "\n", "\r\n" and "\r" on purpose (test_ingest.py).
+SEPARATORS = ["\x1f", "\xa0", "\u3000"]
 BLANKS = ["", " ", "\t", " \t ", "\u3000"]
 MUTATIONS = ["blank_lines", "crlf", "tabs", "extra_fields", "ragged_fields", "separators",
              "odd_tokens", "non_finite", "truncated", "surplus_rows"]
@@ -211,7 +278,7 @@ def ply_texts(draw, mutations):
             rows[i] = rows[i] + draw(st.lists(st.sampled_from(EXTRA_FIELDS), min_size=1, max_size=5))
     if "separators" in mutations:
         # Joins two neighbouring fields with a character that str.split()
-        # treats as whitespace and, for some, str.splitlines() as a line end.
+        # treats as whitespace.
         for i in some_rows(1):
             if len(rows[i]) > 1:
                 j = draw(st.integers(0, len(rows[i]) - 2))

@@ -239,10 +239,10 @@ def test_ply_defers_doubtful_bodies_to_the_scan(body):
     header = LABELED_HEADER.replace("property int label\n", "").format(n=1)
     text = header + body
     try:
-        expected = ("ok", ingest._scan_rows(text.splitlines(), 7, 1, 3)[0].tolist())
+        expected = ("ok", ingest._scan_rows(ingest._split_lines(text), 7, 1, 3)[0].tolist())
     except ParseError as exc:
         expected = ("error", str(exc))
-    assert ingest._read_rows_fast(text.splitlines()[7:], 1, 3) is None
+    assert ingest._read_rows_fast(ingest._split_lines(text)[7:], 1, 3) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -250,6 +250,33 @@ def test_ply_defers_doubtful_bodies_to_the_scan(body):
         except ParseError as exc:
             got = ("error", str(exc))
     assert got == expected
+
+
+# Characters on which str.splitlines() ends a line but a file does not.
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_ply_lines_end_only_at_newlines(body_reads, char):
+    """Such a character inside a comment stays in the comment, between two
+    fields separates them, and moves no line number."""
+    header = LABELED_HEADER.replace("element", f"comment made by{char}tool\nelement")
+    cloud, labels, _ = parse_ply(header.format(n=2) + f"0 1{char}2 3\n4 5 6 7\n")
+    assert cloud.points.tolist() == [[0, 1, 2], [4, 5, 6]]
+    assert labels.labels.tolist() == [3, 7]
+    with pytest.raises(ParseError, match=r"^line 12: expected 4 fields, found 3$"):
+        parse_ply(header.format(n=2) + f"0 1{char}2 3\n\n4 5 6\n")
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_xyz_and_off_lines_end_only_at_newlines(char):
+    assert parse_xyz(f"# made by{char}tool\n0 0 0\n1{char}2 3\n").points.tolist() == [[0, 0, 0], [1, 2, 3]]
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse_xyz(f"# made by{char}tool\n0 0 0\n1 2\n")
+    mesh = parse_off(MINIMAL_OFF.replace("OFF\n", f"OFF\n# made by{char}tool\n"))
+    assert mesh.faces.tolist() == [[0, 1, 2]]
+    with pytest.raises(ParseError, match="^line 7: "):
+        parse_off(f"OFF\n# made by{char}tool\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n")
 
 
 def test_ply_empty_body_names_line_without_warning(body_reads):

@@ -385,6 +385,17 @@ def test_pointcutmix_gate_never_opens_at_zero_prob(rng):
         assert out.assignment is None
 
 
+def test_pointcutmix_gated_sample_records_policy(rng):
+    x1, x2 = random_cloud(rng, 16), random_cloud(rng, 16)
+    y1, y2 = one_hot(0, 2), one_hot(1, 2)
+    pol = policy(mix_prob=0.0, mode="r", beta=0.4)
+    out = pointcutmix(x1, y1, x2, y2, pol, make_stream(3), source_ids=["a", "b"])
+    assert out.gated
+    assert out.params == MixParams(lam=1.0, n_kept=16, mode="r", beta=0.4)
+    assert out.mask.keep.all() and out.center_index is None
+    assert out.part_labels is None and out.source_ids == ("a", "b")
+
+
 def test_pointcutmix_gate_consumes_exactly_one_draw(rng):
     x1, x2 = random_cloud(rng, 8), random_cloud(rng, 8)
     y1, y2 = one_hot(0, 2), one_hot(1, 2)
