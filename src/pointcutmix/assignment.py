@@ -161,9 +161,8 @@ def solve_auction(
         mapping = np.arange(n, dtype=np.int64)
         return Assignment(mapping, 0.0, False)
 
-    # Bid cache: each bidder's top-m items (columns ascending), their
-    # benefits, and the (m+1)-th net value when the row was filled. Empty
-    # rows have an infinite threshold, so their first bid misses.
+    # The bid cache (module docstring). An empty row's threshold is
+    # infinite, so its first bid misses and fills it.
     m = _cache_width(n)
     cache_cols = np.zeros((n, m), dtype=np.int64)
     cache_benefits = np.zeros((n, m))

@@ -49,7 +49,9 @@ def _split_lines(text: str) -> list[str]:
     r"""The text's lines, numbered as the file numbers them: each ends at
     "\n", "\r\n" or a lone "\r". (str.splitlines() also ends lines at
     "\x0b", "\x0c", "\x1c"-"\x1e", "\x85", "\u2028" and "\u2029".)"""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -236,7 +236,9 @@ def pointcutmix(
     """
     _check_pair(x1, y1, x2, y2)
     if rng.random() >= policy.mix_prob:
-        return MixedSample.passthrough(x1, y1, parts1, source_ids, mode=policy.mode, beta=policy.beta)
+        return MixedSample.passthrough(
+            x1, y1, parts1, source_ids, mode=policy.mode, beta=policy.beta
+        )
     lam = sample_lambda(policy.beta, rng)
     return mix_pair(
         x1, y1, x2, y2, lam, policy.mode, rng,
