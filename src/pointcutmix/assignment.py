@@ -174,14 +174,15 @@ def solve_auction(
         """Best item and bid increment for each bidder in rows (an index
         array): from the cache where it decides the bid, else from the full
         row, in sub-blocks that bound the refill's scratch memory."""
-        cols = cache_cols[rows]
-        values = cache_benefits[rows] - prices[cols]
+        cols = cache_cols.take(rows, axis=0)
+        values = cache_benefits.take(rows, axis=0)
+        values -= prices.take(cols)
         r = ramp[: len(rows)]
         best = values.argmax(axis=1)
         best_item = cols[r, best]
         best_value = values[r, best]
         values[r, best] = -np.inf
-        second_value = values.max(axis=1)
+        second_value = values[r, values.argmax(axis=1)]
         limit = threshold[rows]
         hit = (best_value > limit) & (second_value >= limit)
         if not hit.all():
@@ -205,7 +206,7 @@ def solve_auction(
         best_item = values.argmax(axis=1)
         best_value = values[r, best_item]
         values[r, best_item] = -np.inf
-        return best_item, best_value, values.max(axis=1)
+        return best_item, best_value, values[r, values.argmax(axis=1)]
 
     def over_budget():
         return ConvergenceError(
@@ -257,11 +258,11 @@ def solve_auction(
             if bids_used > config.max_auction_rounds:
                 raise over_budget()
             cols = cache_cols[bidder]
-            values = cache_benefits[bidder] - prices[cols]
+            values = cache_benefits[bidder] - prices.take(cols)
             k = values.argmax()
             best_value = values[k]
             values[k] = -np.inf
-            second_value = values.max()
+            second_value = values[values.argmax()]
             if best_value > threshold[bidder] and second_value >= threshold[bidder]:
                 j = int(cols[k])
             else:
