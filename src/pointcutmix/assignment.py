@@ -15,6 +15,13 @@ with the same increment, bit for bit, as a scan of the full row; any other
 bid scans the full row and refills the cache. The cache holds n * m
 entries, at most an eighth of a row block.
 
+Rounds with many bidders bid as one vectorized block; rounds with few (late
+in each phase, where most rounds have two to eight bidders) bid one bidder
+at a time in Python scalars, and a miss there refills the single row from a
+view of it. Both take every bid of a round at the round's starting prices
+and resolve contested items by the same rule, so the path a round takes
+changes neither mappings nor cost bits.
+
 All arithmetic runs in 64-bit regardless of the 32-bit point storage.
 Solvers are pure functions: concurrent solves on distinct inputs are safe.
 """
@@ -39,6 +46,9 @@ _CHUNK_ELEMENTS = 1 << 22
 
 # Widest bid cache kept per bidder of the auction.
 _CACHE_WIDTH = 128
+
+# Auction rounds with at most this many bidders bid one bidder at a time.
+_SMALL_ROUND = 8
 
 
 def _cache_width(n: int) -> int:
@@ -126,6 +136,15 @@ def solve_auction(
     full row. Because the cached columns are kept in ascending order, ties
     still go to the first index, so mappings and total_cost bits are those
     of a full scan of every row.
+
+    Rounds of at most _SMALL_ROUND bidders, the single-bidder chain among
+    them, bid one bidder at a time. This is exact: every bid of the round is
+    taken at its starting prices before any price moves, each bid is the
+    same float64 arithmetic as its vectorized form (a +0 or -0 second value
+    gives the same increment), and walking the bidders in ascending order,
+    replacing a kept bid only on a strictly greater increment, gives each
+    contested item to the highest bid with ties to the smaller bidder index,
+    as the lexsort of the wide rounds does.
     """
     n = _require_same_size(x1, x2)
     if n == 1:
@@ -144,7 +163,8 @@ def solve_auction(
         np.negative(negc, out=negc)
 
         def benefit_rows(rows):
-            """Benefits of the bidders in rows, as a fresh array."""
+            """Benefits of the bidders in rows: a fresh array for an index
+            array, a view for a slice."""
             return negc[rows]
 
     else:
@@ -208,6 +228,32 @@ def solve_auction(
         values[r, best_item] = -np.inf
         return best_item, best_value, values[r, values.argmax(axis=1)]
 
+    def bid_one(bidder):
+        """bid() for one bidder, in scalar form. A miss refills the row as
+        bid_full_rows() does, from a view of it (one cdist row when
+        matrix-free) rather than a gathered block."""
+        cols = cache_cols[bidder]
+        values = cache_benefits[bidder] - prices.take(cols)
+        k = values.argmax()
+        best_value = values[k]
+        values[k] = -np.inf
+        second_value = values[values.argmax()]
+        limit = threshold[bidder]
+        if best_value > limit and second_value >= limit:
+            return int(cols[k]), best_value - second_value + eps
+        benefits = benefit_rows(slice(bidder, bidder + 1))[0]
+        values = benefits - prices
+        top = values.argpartition(n - m - 1)
+        threshold[bidder] = values[top[n - m - 1]]
+        cols = top[n - m :]
+        cols.sort()
+        cache_cols[bidder] = cols
+        cache_benefits[bidder] = benefits.take(cols)
+        j = values.argmax()
+        best_value = values[j]
+        values[j] = -np.inf
+        return int(j), best_value - values[values.argmax()] + eps
+
     def over_budget():
         return ConvergenceError(
             f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
@@ -221,7 +267,7 @@ def solve_auction(
         item_of = np.full(n, -1, dtype=np.int64)  # bidder -> item
         owner = np.full(n, -1, dtype=np.int64)  # item -> bidder
         bidders = np.arange(n)
-        while bidders.size > 1:
+        while bidders.size > _SMALL_ROUND:
             u = bidders.size
             bids_used += u
             if bids_used > config.max_auction_rounds:
@@ -249,30 +295,29 @@ def solve_auction(
             item_of[winners] = items
             bidders = np.flatnonzero(item_of < 0)
 
-        # A lone bidder always wins, and the only bidder of the next round
-        # is the owner it displaced: follow that chain one bid at a time,
-        # with bid()'s cache test in scalar form.
-        bidder = int(bidders[0]) if bidders.size else -1
-        while bidder >= 0:
-            bids_used += 1
+        # No round has more bidders than the one before it (each winner
+        # displaces at most one owner), so the rest of the phase is small
+        # rounds, with the lexsort rule above in scalar form (see docstring).
+        bidders = bidders.tolist()
+        while bidders:
+            bids_used += len(bidders)
             if bids_used > config.max_auction_rounds:
                 raise over_budget()
-            cols = cache_cols[bidder]
-            values = cache_benefits[bidder] - prices.take(cols)
-            k = values.argmax()
-            best_value = values[k]
-            values[k] = -np.inf
-            second_value = values[values.argmax()]
-            if best_value > threshold[bidder] and second_value >= threshold[bidder]:
-                j = int(cols[k])
-            else:
-                items, best, second = bid_full_rows(np.array([bidder]))
-                j, best_value, second_value = int(items[0]), best[0], second[0]
-            prices[j] += best_value - second_value + eps
-            item_of[bidder] = j
-            displaced = int(owner[j])
-            owner[j] = bidder
-            bidder = displaced
+            kept = {}  # item -> (increment, bidder)
+            for bidder in bidders:
+                j, increment = bid_one(bidder)
+                if j not in kept or increment > kept[j][0]:
+                    kept[j] = (increment, bidder)
+            displaced = []
+            for j, (increment, bidder) in kept.items():
+                prices[j] += increment
+                previous = int(owner[j])
+                if previous >= 0:
+                    item_of[previous] = -1
+                    displaced.append(previous)
+                owner[j] = bidder
+                item_of[bidder] = j
+            bidders = sorted([bidder for bidder in bidders if item_of[bidder] < 0] + displaced)
 
         if eps <= config.epsilon_final:
             break

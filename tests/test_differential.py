@@ -177,6 +177,83 @@ def test_auction_cache_widths_match_reference_on_fixtures_at_1024(fixtures_1024,
     assert outcome(solve_auction, chair, plane) == expected
 
 
+# The scalar bid path. A small-round limit of 1 leaves it only the
+# single-bidder chain; a limit of at least n gives it every round, the full
+# first round of each phase included.
+def small_rounds(mp, every_round, width):
+    mp.setattr(assignment, "_SMALL_ROUND", 1 << 30 if every_round else 1)
+    if width is not None:
+        narrow_cache(mp, width)
+
+
+widths = st.one_of(st.none(), st.integers(2, 5))
+
+
+@PROPERTY
+@given(cloud_pairs(), st.booleans(), widths)
+def test_auction_small_rounds_dense_match_reference(pair, every_round, width):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        small_rounds(mp, every_round, width)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b)
+
+
+@PROPERTY
+@given(cloud_pairs(max_n=120), st.booleans(), widths)
+def test_auction_small_rounds_matrix_free_match_reference(pair, every_round, width):
+    a, b = pair
+    n = len(a)
+    chunk = n * (1 + n % 7)  # 1 to 7 rows per block
+    with pytest.MonkeyPatch.context() as mp:
+        small_rounds(mp, every_round, width)
+        mp.setattr(assignment, "DENSE_MATRIX_LIMIT", 1)
+        mp.setattr(assignment, "_CHUNK_ELEMENTS", chunk)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b, dense_limit=1, chunk_elements=chunk)
+
+
+@PROPERTY
+@given(cloud_pairs(max_n=80), st.integers(1, 2000), st.booleans(), st.booleans(), widths)
+def test_auction_small_rounds_bid_budget_matches_reference(pair, budget, dense, every_round, width):
+    a, b = pair
+    config = SolverConfig(max_auction_rounds=budget)
+    limit = assignment.DENSE_MATRIX_LIMIT if dense else 1
+    with pytest.MonkeyPatch.context() as mp:
+        small_rounds(mp, every_round, width)
+        mp.setattr(assignment, "DENSE_MATRIX_LIMIT", limit)
+        got = outcome(solve_auction, a, b, config)
+    assert got == outcome(reference_auction, a, b, config, dense_limit=limit)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "duplicates"])
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+def test_auction_small_round_refills_break_ties_like_reference(kind, width, monkeypatch):
+    # Many columns tie at the top of a refilled row, more than the cache
+    # holds: the bid must still take the first of them from the full row.
+    rng = np.random.default_rng(width)
+    a, b = PointCloud(draw_points(rng, 60, kind)), PointCloud(draw_points(rng, 60, kind))
+    config = SolverConfig(max_auction_rounds=100_000)
+    small_rounds(monkeypatch, True, width)
+    expected = outcome(reference_auction, a, b, config)
+    assert expected[0] != "ConvergenceError"
+    assert outcome(solve_auction, a, b, config) == expected
+
+
+@pytest.mark.parametrize(
+    "every_round, width, dense",
+    [(False, None, True), (True, None, True), (False, 2, True), (True, 3, True), (True, None, False)],
+)
+def test_auction_small_rounds_match_reference_on_fixtures_at_1024(
+    fixtures_1024, every_round, width, dense, monkeypatch
+):
+    chair, plane, expected = fixtures_1024
+    small_rounds(monkeypatch, every_round, width)
+    if not dense:
+        monkeypatch.setattr(assignment, "DENSE_MATRIX_LIMIT", 1)
+    assert outcome(solve_auction, chair, plane) == expected
+
+
 @PROPERTY
 @given(
     st.integers(1, 600),
