@@ -117,9 +117,11 @@ class Dataset:
 def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: bool = False) -> Dataset:
     """Walk a class-per-folder tree, parsing every recognized file once.
 
-    Files that fail to parse (or lack a required per-point property) are
-    skipped with a warning and recorded, and never enter the sample index —
-    so pairing and seeds are unaffected by their presence.
+    Files that fail to parse, lack a required per-point property, cannot be
+    normalized (a cloud without two distinct points, a mesh of zero area) or
+    would write the same output file as a file kept before them in sorted
+    order are skipped with a warning and recorded, and never enter the
+    sample index — so pairing and seeds are unaffected by their presence.
     """
     if not root.is_dir():
         raise InputError(f"{root}: not a directory")
@@ -134,18 +136,27 @@ def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: b
             p for p in class_dir.iterdir()
             if p.is_file() and p.suffix.lower() in CLOUD_SUFFIXES + MESH_SUFFIXES
         )
+        kept_by_stem: dict[str, str] = {}  # output file stem -> rel_id writing it
         for path in files:
             rel_id = f"{class_dir.name}/{path.name}"
             try:
+                if path.stem in kept_by_stem:
+                    raise InputError(f"output file collides with that of {kept_by_stem[path.stem]}")
                 source = _parse_source(path, rel_id, class_index)
                 if require_parts and source.parts is None:
                     raise InputError("no per-point 'label' property")
                 if require_saliency and source.saliency is None:
                     raise InputError("no per-point 'saliency' property (required by mode 's')")
+                if source.mesh is not None:
+                    if not source.mesh.triangles()[3].sum() > 0.0:
+                        raise InputError("mesh surface area is zero (all triangles degenerate)")
+                elif not (source.cloud.points != source.cloud.points[0]).any():
+                    raise InputError("cloud has fewer than two distinct points")
             except (ParseError, ValueError, OSError) as exc:
                 print(f"warning: skipping {rel_id}: {exc}", file=sys.stderr)
                 skipped.append({"file": rel_id, "error": str(exc)})
                 continue
+            kept_by_stem[path.stem] = rel_id
             samples.append(source)
     if not samples:
         raise InputError(f"{root}: no readable samples")

@@ -44,6 +44,14 @@ class TriangleMesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
 
+    def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per face, in float64: first corner a, edges ab and ac, and area."""
+        v = self.vertices.astype(np.float64)
+        a = v[self.faces[:, 0]]
+        ab = v[self.faces[:, 1]] - a
+        ac = v[self.faces[:, 2]] - a
+        return a, ab, ac, 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
+
 
 def _split_lines(text: str) -> list[str]:
     r"""The text's lines, numbered as the file numbers them: each ends at
@@ -352,11 +360,7 @@ def sample_surface(mesh: TriangleMesh, n: int, rng: RngStream) -> PointCloud:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if len(mesh.faces) == 0:
         raise ValueError("mesh has no faces to sample")
-    v = mesh.vertices.astype(np.float64)
-    a = v[mesh.faces[:, 0]]
-    ab = v[mesh.faces[:, 1]] - a
-    ac = v[mesh.faces[:, 2]] - a
-    areas = 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
+    a, ab, ac, areas = mesh.triangles()
     total = areas.sum()
     if total <= 0.0:
         raise ValueError("mesh surface area is zero (all triangles degenerate)")

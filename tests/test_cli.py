@@ -324,6 +324,61 @@ def test_augment_skips_unreadable_files(tmp_path, capsys):
     assert all("broken" not in e["source_a_id"] for e in manifest["entries"])
 
 
+def output_tree(out_dir: Path) -> dict:
+    """Relative path -> bytes of every file a run wrote."""
+    return {
+        str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()
+    }
+
+
+def assert_same_run_without(tmp_path, data: Path, extra: list[Path], expected_skipped: list[str]):
+    """Augmenting data writes what it writes with the extra files removed,
+    except that the manifest records them as skipped."""
+    out = tmp_path / "out"
+    assert main(["augment", str(data), "--num-points", "32", "--seed", "5", "--out", str(out)]) == 0
+    with_extra = output_tree(out)
+    manifest = read_manifest(out)
+    assert [s["file"] for s in manifest["skipped"]] == expected_skipped
+    for path in extra:
+        path.unlink()
+    clean = tmp_path / "clean"
+    assert main(["augment", str(data), "--num-points", "32", "--seed", "5", "--out", str(clean)]) == 0
+    without = output_tree(clean)
+    assert with_extra.keys() == without.keys()
+    assert all(with_extra[k] == without[k] for k in with_extra if k != "manifest.json")
+    manifest["skipped"] = []
+    assert manifest == read_manifest(clean)
+    return read_manifest(out)["skipped"]
+
+
+def test_augment_skips_output_name_collisions(tmp_path, capsys):
+    data = write_dataset(tmp_path / "data")
+    rng = np.random.default_rng(8)
+    twin = data / "table" / "table_1.xyz"  # would also write epoch000/table/table_1.ply
+    twin.write_text(write_xyz(normalize_unit_sphere(random_cloud(rng, 32))))
+    skipped = assert_same_run_without(tmp_path, data, [twin], ["table/table_1.xyz"])
+    assert "table/table_1.ply" in skipped[0]["error"]
+    assert "skipping table/table_1.xyz" in capsys.readouterr().err
+
+
+def test_augment_skips_sources_that_cannot_be_normalized(tmp_path):
+    data = write_dataset(tmp_path / "data")
+    same = data / "table" / "same.xyz"
+    same.write_text("1 1 1\n" * 32)
+    single = data / "vase" / "single.xyz"
+    single.write_text("0.5 0.25 0\n")
+    flat = data / "vase" / "flat.off"  # every triangle lies on one line
+    flat.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n3 0 1 2\n3 1 2 3\n")
+    skipped = assert_same_run_without(
+        tmp_path, data, [same, single, flat], ["table/same.xyz", "vase/flat.off", "vase/single.xyz"]
+    )
+    assert [s["error"] for s in skipped] == [
+        "cloud has fewer than two distinct points",
+        "mesh surface area is zero (all triangles degenerate)",
+        "cloud has fewer than two distinct points",
+    ]
+
+
 def test_augment_gate_accounting_matches_streams(tmp_path):
     data = write_dataset(tmp_path / "data")
     out = tmp_path / "out"
