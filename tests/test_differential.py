@@ -7,7 +7,8 @@ of solve_auction or farthest_point_sample must reproduce them bit for bit
 files stay byte-identical. Inputs stress tie rules: duplicate points and
 lattice coordinates, where many distances are exactly equal. The auction's
 bid cache is also run at widths of 2 to 5 items, where nearly every bid
-misses, refills or ties at the cache threshold.
+misses, refills or ties at the cache threshold, and the scalar bid path of
+small rounds on the single-bidder chain alone and on every round.
 
 The PLY writers must emit the reference bytes, and parse_ply must return the
 reference arrays bit for bit or raise the reference exception with the same
