@@ -23,6 +23,8 @@ and resolve contested items by the same rule, so the path a round takes
 changes neither mappings nor cost bits.
 
 All arithmetic runs in 64-bit regardless of the 32-bit point storage.
+Distances come from a numpy kernel with the bits of scipy's cdist, so only
+the exact solver needs scipy, and it imports it on first use.
 Solvers are pure functions: concurrent solves on distinct inputs are safe.
 """
 
@@ -31,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .core import Assignment, PointCloud
 
@@ -44,11 +44,47 @@ DENSE_MATRIX_LIMIT = 4096
 # bounds the solver's scratch memory (all of it on the matrix-free path).
 _CHUNK_ELEMENTS = 1 << 22
 
+# Distances are computed in row blocks of about this many elements, small
+# enough that a block stays in cache from its first operation to its last.
+_BLOCK_ELEMENTS = 1 << 15
+
 # Widest bid cache kept per bidder of the auction.
 _CACHE_WIDTH = 128
 
 # Auction rounds with at most this many bidders bid one bidder at a time.
 _SMALL_ROUND = 8
+
+
+def _distance_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """Fill out with the Euclidean distances between the rows of a and of b
+    (float64), one cache-sized row block at a time, yielding each block as
+    soon as it is final.
+
+    The bits are those of scipy's cdist: per pair sqrt((dx*dx + dy*dy) +
+    dz*dz), each operation rounded once in float64.
+    """
+    columns = np.ascontiguousarray(b.T)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, len(b)))
+    scratch = np.empty((min(rows, len(a)), len(b)))
+    for lo in range(0, len(a), rows):
+        block, here = out[lo : lo + rows], a[lo : lo + rows]
+        term = scratch[: len(block)]
+        np.subtract(here[:, :1], columns[0], out=block)
+        np.multiply(block, block, out=block)
+        for k in range(1, len(columns)):
+            np.subtract(here[:, k : k + 1], columns[k], out=term)
+            np.multiply(term, term, out=term)
+            block += term
+        np.sqrt(block, out=block)
+        yield block
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full matrix of _distance_blocks()."""
+    out = np.empty((len(a), len(b)))
+    for _ in _distance_blocks(a, b, out):
+        pass
+    return out
 
 
 def _cache_width(n: int) -> int:
@@ -102,7 +138,7 @@ def cost(x1: PointCloud, i: int, x2: PointCloud, j: int) -> float:
 def cost_matrix(x1: PointCloud, x2: PointCloud) -> np.ndarray:
     """Dense float64 matrix of pairwise Euclidean distances."""
     _require_same_size(x1, x2)
-    return cdist(x1.points.astype(np.float64), x2.points.astype(np.float64))
+    return _distances(x1.points.astype(np.float64), x2.points.astype(np.float64))
 
 
 def _total_cost(c: np.ndarray, mapping: np.ndarray) -> float:
@@ -115,7 +151,8 @@ def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     O(N^3); intended for N up to the configured exact threshold, though
     nothing but patience caps it.
     """
-    n = _require_same_size(x1, x2)
+    from scipy.optimize import linear_sum_assignment
+
     c = cost_matrix(x1, x2)
     _, mapping = linear_sum_assignment(c)
     return Assignment(mapping.astype(np.int64), _total_cost(c, mapping), True)
@@ -157,10 +194,13 @@ def solve_auction(
 
     if dense:
         # Benefits are negated costs. Negation is exact, so every bid below
-        # has the bits it would have if computed from -c row by row.
-        negc = cdist(a, b)
-        max_cost = float(negc.max())
-        np.negative(negc, out=negc)
+        # has the bits it would have if computed from -c row by row. Each
+        # block is read and negated while it is still in cache.
+        negc = np.empty((n, n))
+        max_cost = 0.0
+        for block in _distance_blocks(a, b, negc):
+            max_cost = max(max_cost, float(block.max()))
+            np.negative(block, out=block)
 
         def benefit_rows(rows):
             """Benefits of the bidders in rows: a fresh array for an index
@@ -168,12 +208,13 @@ def solve_auction(
             return negc[rows]
 
     else:
-        max_cost = 0.0
-        for lo in range(0, n, rows_per_chunk):
-            max_cost = max(max_cost, float(cdist(a[lo : lo + rows_per_chunk], b).max()))
+        max_cost = max(
+            float(_distances(a[lo : lo + rows_per_chunk], b).max())
+            for lo in range(0, n, rows_per_chunk)
+        )
 
         def benefit_rows(rows):
-            values = cdist(a[rows], b)
+            values = _distances(a[rows], b)
             return np.negative(values, out=values)
 
     if max_cost <= 0.0:
@@ -230,8 +271,8 @@ def solve_auction(
 
     def bid_one(bidder):
         """bid() for one bidder, in scalar form. A miss refills the row as
-        bid_full_rows() does, from a view of it (one cdist row when
-        matrix-free) rather than a gathered block."""
+        bid_full_rows() does, from a view of it (one distance row
+        when matrix-free) rather than a gathered block."""
         cols = cache_cols[bidder]
         values = cache_benefits[bidder] - prices.take(cols)
         k = values.argmax()

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .assignment import optimal_assignment
+from .assignment import DEFAULT_CONFIG, optimal_assignment
 from .core import (
     LabelDistribution,
     MixedSample,
@@ -288,6 +286,14 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
     if jobs <= 1:
         entries = [augment_sample(run, epoch, index) for epoch, index in tasks]
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if run.rho > 0.0 and run.num_points <= DEFAULT_CONFIG.exact_threshold:
+            # The exact route imports scipy on first use: import it once
+            # here, so forked workers share it instead of each importing it.
+            import scipy.optimize  # noqa: F401
+
         # fork shares the parsed dataset with workers copy-on-write; each
         # task is independent, so any schedule yields identical bytes.
         global _WORKER_RUN
@@ -317,9 +323,13 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
         "skipped": dataset.skipped,
         "entries": entries,
     }
-    (run.out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    # Written whole or not at all: a manifest.json is never partial.
+    partial = run.out_dir / "manifest.json.partial"
+    try:
+        partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        partial.replace(run.out_dir / "manifest.json")
+    finally:
+        partial.unlink(missing_ok=True)
     return manifest
 
 
@@ -509,6 +519,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _point_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be >= 2 (one point cannot be normalized)")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -530,7 +547,7 @@ def _add_augment_flags(sub, *, default_rho: float):
     sub.add_argument("--rho", type=_unit_float, default=default_rho,
                      help="probability that a sample gets mixed")
     sub.add_argument("--seed", type=_u64, default=0)
-    sub.add_argument("--num-points", type=_positive_int, default=1024)
+    sub.add_argument("--num-points", type=_point_count, default=1024)
     sub.add_argument("--epochs", type=_positive_int, default=1)
     sub.add_argument("--pairs", choices=["random", "roundrobin"], default="random")
     sub.add_argument("--jobs", type=_positive_int, default=1)

@@ -297,6 +297,25 @@ def test_augment_jobs_do_not_change_bytes(tmp_path):
     assert tree1 == tree2
 
 
+def test_augment_manifest_write_failure_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    """A manifest whose write fails half way is never left as manifest.json."""
+    data = write_dataset(tmp_path / "data")
+    out = tmp_path / "out"
+    real_write_text = Path.write_text
+
+    def fail_half_way(path, text, *args, **kwargs):
+        if path.name.startswith("manifest.json"):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+        return real_write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_half_way)
+    assert main(["augment", str(data), "--num-points", "32", "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir() if p.is_file()] == []  # nor a partial file
+    assert len(list(out.rglob("*.ply"))) == 6  # the samples themselves were written
+
+
 def test_augment_roundrobin_partners(tmp_path):
     data = write_dataset(tmp_path / "data")
     out = tmp_path / "out"
@@ -632,6 +651,19 @@ def test_bad_flag_value_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["augment", "segment-augment"])
+@pytest.mark.parametrize("num_points", ["0", "1"])
+def test_augment_num_points_below_two_is_usage_error(tmp_path, capsys, command, num_points):
+    """One point has no radius to normalize by, so no source could be rendered."""
+    data = write_dataset(tmp_path / "data", labels=True)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(data), "--num-points", num_points, "--rho", "0", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "--num-points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["augment", "somewhere"])  # no --out
@@ -646,6 +678,71 @@ def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     )
     assert main(["augment", str(data), "--out", str(tmp_path / "out")]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def run_fresh(code: str, cwd: Path, *args: str) -> str:
+    """Run code with args in a fresh interpreter, with this checkout's src/
+    first on PYTHONPATH; return its standard output."""
+    checkout = Path(__file__).resolve().parent.parent
+    src_first = filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src_first))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def scipy_modules_after(code: str, cwd: Path) -> list:
+    """The scipy modules a fresh interpreter holds after running code."""
+    report = "\nimport json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"
+    return json.loads(run_fresh(code + report, cwd).splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["pointcutmix", "pointcutmix.cli"])
+def test_import_loads_no_scipy(tmp_path, module):
+    assert scipy_modules_after(f"import {module}", tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["emd", "mix", "sample", "augment"])
+def test_commands_above_exact_threshold_load_no_scipy(tmp_path, command):
+    """Only the exact route (N <= exact_threshold) imports scipy."""
+    rng = np.random.default_rng(300)
+    a, b = tmp_path / "a.ply", tmp_path / "b.ply"
+    for path in (a, b):
+        path.write_text(write_ply(random_cloud(rng, 300)))
+    mesh = tmp_path / "cube.off"
+    mesh.write_text(UNIT_CUBE_OFF)
+    argv = {
+        "emd": ["emd", str(a), str(b)],
+        "mix": ["mix", str(a), "x", str(b), "y", "--mode", "k", "--out", str(tmp_path / "m.ply")],
+        "sample": ["sample", str(mesh), "--out", str(tmp_path / "s.ply")],
+        "augment": ["augment", str(write_dataset(tmp_path / "data", files_per_class=2)),
+                    "--num-points", "1024", "--out", str(tmp_path / "out")],
+    }[command]
+    code = f"from pointcutmix.cli import main\nassert main({argv!r}) == 0"
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+@pytest.mark.parametrize(("num_points", "loaded"), [("32", True), ("300", False)])
+def test_parallel_augment_loads_exact_solver_before_forking(tmp_path, num_points, loaded):
+    """With --jobs > 1, a run that reaches the exact route imports scipy once
+    in the parent, so forked workers do not each import it."""
+    data = write_dataset(tmp_path / "data", files_per_class=2)
+    argv = ["augment", str(data), "--num-points", num_points, "--jobs", "2",
+            "--out", str(tmp_path / "out")]
+    code = (
+        "import concurrent.futures, sys\n"
+        "class Recording(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        print('scipy.optimize' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Recording\n"
+        "from pointcutmix.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert run_fresh(code, tmp_path).split() == [str(loaded)]
 
 
 def test_console_script_runs(tmp_path):
@@ -667,11 +764,4 @@ def test_console_script_runs(tmp_path):
         f"import sys; from {module} import {func}; "
         f"sys.argv[0] = 'pointcutmix'; sys.exit({func}())"
     )
-    src_first = filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(src_first))
-    result = subprocess.run(
-        [sys.executable, "-c", wrapper, "emd", EMD6_A, EMD6_B],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "1.258076", result.stderr
+    assert run_fresh(wrapper, tmp_path, "emd", EMD6_A, EMD6_B).strip() == "1.258076"

@@ -10,6 +10,10 @@ bid cache is also run at widths of 2 to 5 items, where nearly every bid
 misses, refills or ties at the cache threshold, and the scalar bid path of
 small rounds on the single-bidder chain alone and on every round.
 
+The solver's numpy distance kernel must return scipy's cdist bit for bit on
+float32-valued inputs, extremes and duplicates included, for any row block
+size.
+
 The PLY writers must emit the reference bytes, and parse_ply must return the
 reference arrays bit for bit or raise the reference exception with the same
 message, on written files and on mutations of them: blank lines, CR and CRLF
@@ -24,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from pointcutmix import assignment
 from pointcutmix.assignment import ConvergenceError, SolverConfig, solve_auction
@@ -72,6 +77,32 @@ def outcome(solve, *args, **kwargs):
     except ConvergenceError as exc:
         return ("ConvergenceError", str(exc))
     return (result.mapping.tolist(), np.float64(result.total_cost).tobytes())
+
+
+@st.composite
+def distance_inputs(draw):
+    """Two float32-valued point sets of 1 to 12 rows (+-0, subnormals and
+    +-float32 max among the values), as float64; b is either independent or
+    made of rows of a (duplicates, zero distances)."""
+    values = float32s(finite=True)
+    a = draw(hnp.arrays(np.float32, (draw(st.integers(1, 12)), 3), elements=values))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        b = a[draw(st.lists(st.integers(0, len(a) - 1), min_size=n, max_size=n))]
+    else:
+        b = draw(hnp.arrays(np.float32, (n, 3), elements=values))
+    return a.astype(np.float64), b.astype(np.float64)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(distance_inputs(), st.integers(1, 40))
+def test_distance_kernel_matches_cdist(pair, block_elements):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment, "_BLOCK_ELEMENTS", block_elements)
+        got = assignment._distances(a, b)
+    assert got.shape == (len(a), len(b))
+    assert got.tobytes() == cdist(a, b).tobytes()
 
 
 @PROPERTY
