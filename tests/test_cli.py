@@ -13,8 +13,16 @@ from pointcutmix.cli import (
     main,
     scan_dataset,
 )
-from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights
-from pointcutmix.ingest import normalize_unit_sphere, parse_ply, write_ply, write_xyz
+from pointcutmix.assignment import optimal_assignment
+from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights, one_hot
+from pointcutmix.ingest import (
+    equalize_indices,
+    normalize_unit_sphere,
+    parse_ply,
+    write_ply,
+    write_xyz,
+)
+from pointcutmix.mixer import mix_pair
 from pointcutmix.rng import make_stream, mix64
 
 from conftest import FIXTURES, random_cloud
@@ -92,6 +100,46 @@ def test_emd_size_mismatch_needs_equalize(tmp_path, capsys):
     assert main(["emd", str(a), str(b)]) == 1
     assert "--equalize" in capsys.readouterr().err
     assert main(["emd", str(a), str(b), "--equalize", "2"]) == 0
+
+
+def equalized_pair(tmp_path, sizes, n, seed):
+    """Two cloud files, and the clouds equalize_indices renders from them at
+    n points, A first and then B, from one make_stream(seed)."""
+    rng = np.random.default_rng(sum(sizes))
+    paths = [tmp_path / "a.ply", tmp_path / "b.ply"]
+    stream = make_stream(seed)
+    rendered = []
+    for path, size in zip(paths, sizes):
+        path.write_text(write_ply(random_cloud(rng, size)))
+        cloud, _, _ = parse_ply(path.read_text())
+        rendered.append(PointCloud(cloud.points[equalize_indices(cloud, n, stream)]))
+    return paths, rendered, stream
+
+
+@pytest.mark.parametrize("sizes", [(40, 50), (40, 17)])
+def test_emd_equalize_draw_order(tmp_path, capsys, sizes):
+    """emd --equalize renders A, then B, from one stream seeded by --seed."""
+    (a, b), (ca, cb), _ = equalized_pair(tmp_path, sizes, 24, 13)
+    dump = tmp_path / "mapping.txt"
+    argv = ["emd", str(a), str(b), "--equalize", "24", "--seed", "13",
+            "--dump-assignment", str(dump)]
+    assert main(argv) == 0
+    expected = optimal_assignment(ca, cb)
+    assert capsys.readouterr().out.strip() == f"{expected.total_cost / 24:.6f}"
+    assert [int(j) for j in dump.read_text().split()] == expected.mapping.tolist()
+
+
+@pytest.mark.parametrize("sizes", [(40, 50), (40, 17)])
+def test_mix_num_points_draw_order(tmp_path, sizes):
+    """mix --num-points renders A, then B, then builds the mask, all from one
+    stream seeded by --seed."""
+    (a, b), (ca, cb), stream = equalized_pair(tmp_path, sizes, 24, 21)
+    out = tmp_path / "m.ply"
+    argv = ["mix", str(a), "x", str(b), "y", "--num-points", "24", "--seed", "21",
+            "--lambda", "0.5", "--mode", "k", "--out", str(out)]
+    assert main(argv) == 0
+    expected = mix_pair(ca, one_hot(0, 2), cb, one_hot(1, 2), 0.5, "k", stream, beta=1.0)
+    assert out.read_bytes() == write_ply(expected.cloud).encode()
 
 
 def test_emd_missing_file(capsys):
