@@ -10,7 +10,6 @@ from .assignment import (
     DEFAULT_CONFIG,
     ConvergenceError,
     SolverConfig,
-    cost,
     cost_matrix,
     emd,
     optimal_assignment,
@@ -18,7 +17,6 @@ from .assignment import (
     solve_exact,
 )
 from .core import (
-    MODES,
     Assignment,
     AugmentPolicy,
     LabelDistribution,
@@ -34,7 +32,6 @@ from .core import (
 from .ingest import (
     ParseError,
     TriangleMesh,
-    equalize,
     equalize_indices,
     farthest_point_sample,
     normalize_unit_sphere,
@@ -55,13 +52,11 @@ from .mixer import (
     pointcutmix,
     sample_lambda,
 )
-from .neighbors import SpatialIndex, build_index, knn
 from .rng import make_stream, mix64
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MODES",
     "Assignment",
     "AugmentPolicy",
     "ConvergenceError",
@@ -75,19 +70,14 @@ __all__ = [
     "ReplacementMask",
     "SaliencyWeights",
     "SolverConfig",
-    "SpatialIndex",
     "TriangleMesh",
     "apply_mix",
     "apply_mix_segmentation",
-    "build_index",
     "choose_center_saliency",
-    "cost",
     "cost_matrix",
     "emd",
-    "equalize",
     "equalize_indices",
     "farthest_point_sample",
-    "knn",
     "make_stream",
     "mask_knn",
     "mask_random",

@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .assignment import DEFAULT_CONFIG, optimal_assignment
 from .core import (
-    LabelDistribution,
     MixedSample,
     PartLabels,
     PointCloud,
@@ -161,24 +158,41 @@ def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: b
     return Dataset(classes, samples, skipped)
 
 
-def prepare_source(source: Source, num_points: int, stream: RngStream) -> tuple[
-    PointCloud, Optional[PartLabels], Optional[SaliencyWeights]
-]:
-    """Render a source at exactly num_points, normalized to the unit sphere.
+Rendered = tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]
+
+
+def _render(source: Source, num_points: int, stream: RngStream) -> Rendered:
+    """Render a source at exactly num_points.
 
     Meshes are surface-sampled with the given stream; clouds are equalized
     (identity when already the right size, consuming no draws), with part
     labels and saliency riding along on the same index selection.
     """
     if source.mesh is not None:
-        return normalize_unit_sphere(sample_surface(source.mesh, num_points, stream)), None, None
+        return sample_surface(source.mesh, num_points, stream), None, None
     idx = equalize_indices(source.cloud, num_points, stream)
-    cloud = normalize_unit_sphere(PointCloud(source.cloud.points[idx]))
-    parts = PartLabels(source.parts.labels[idx]) if source.parts is not None else None
-    saliency = (
-        SaliencyWeights(source.saliency.values[idx]) if source.saliency is not None else None
+    return (
+        PointCloud(source.cloud.points[idx]),
+        PartLabels(source.parts.labels[idx]) if source.parts is not None else None,
+        SaliencyWeights(source.saliency.values[idx]) if source.saliency is not None else None,
     )
-    return cloud, parts, saliency
+
+
+def prepare_source(source: Source, num_points: int, stream: RngStream) -> Rendered:
+    """A source rendered at exactly num_points, normalized to the unit sphere."""
+    cloud, parts, saliency = _render(source, num_points, stream)
+    return normalize_unit_sphere(cloud), parts, saliency
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a file whole or not at all: a partial write never takes its name."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        partial.write_text(text)
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +276,8 @@ def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
         for k, w in enumerate(sample.label.weights)
         if w != 0.0
     }
-    out_path = run.out_dir / out_rel
-    out_path.write_text(write_ply(sample.cloud, sample.part_labels if run.segmentation else None))
+    text = write_ply(sample.cloud, sample.part_labels if run.segmentation else None)
+    _write_atomic(run.out_dir / out_rel, text)
     return entry
 
 
@@ -278,10 +292,6 @@ def _run_task(task: tuple[int, int]) -> dict:
 def run_augment(run: AugmentRun, jobs: int) -> dict:
     """Drive all (epoch, sample) tasks, write manifest.json, return it."""
     dataset = run.dataset
-    for epoch in range(run.epochs):
-        for name in dataset.classes:
-            (run.out_dir / f"epoch{epoch:03d}" / name).mkdir(parents=True, exist_ok=True)
-
     tasks = [(e, i) for e in range(run.epochs) for i in range(len(dataset.samples))]
     if jobs <= 1:
         entries = [augment_sample(run, epoch, index) for epoch, index in tasks]
@@ -323,13 +333,8 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
         "skipped": dataset.skipped,
         "entries": entries,
     }
-    # Written whole or not at all: a manifest.json is never partial.
-    partial = run.out_dir / "manifest.json.partial"
-    try:
-        partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        partial.replace(run.out_dir / "manifest.json")
-    finally:
-        partial.unlink(missing_ok=True)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(run.out_dir / "manifest.json", text)
     return manifest
 
 
@@ -345,8 +350,8 @@ def cmd_emd(args) -> int:
     cloud_a, cloud_b = a.cloud, b.cloud
     if args.equalize is not None:
         stream = make_stream(args.seed)
-        cloud_a = PointCloud(cloud_a.points[equalize_indices(cloud_a, args.equalize, stream)])
-        cloud_b = PointCloud(cloud_b.points[equalize_indices(cloud_b, args.equalize, stream)])
+        cloud_a = _render(a, args.equalize, stream)[0]
+        cloud_b = _render(b, args.equalize, stream)[0]
     if len(cloud_a) != len(cloud_b):
         raise InputError(
             f"cloud sizes differ ({len(cloud_a)} vs {len(cloud_b)}); pass --equalize N"
@@ -365,29 +370,18 @@ def cmd_mix(args) -> int:
     b = _load_cloud_file(Path(args.file_b))
     stream = make_stream(args.seed)
 
-    num_points = args.num_points
-    if num_points is None:
+    if args.num_points is None:
         if a.mesh is not None or b.mesh is not None:
             raise InputError("mesh inputs require --num-points")
         if len(a.cloud) != len(b.cloud):
             raise InputError(
                 f"cloud sizes differ ({len(a.cloud)} vs {len(b.cloud)}); pass --num-points N"
             )
-
-    def realize(src: Source) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:
-        if src.mesh is not None:
-            return sample_surface(src.mesh, num_points, stream), None, None
-        if num_points is None:
-            return src.cloud, src.parts, src.saliency
-        idx = equalize_indices(src.cloud, num_points, stream)
-        return (
-            PointCloud(src.cloud.points[idx]),
-            PartLabels(src.parts.labels[idx]) if src.parts is not None else None,
-            SaliencyWeights(src.saliency.values[idx]) if src.saliency is not None else None,
-        )
-
-    cloud_a, parts_a, saliency_a = realize(a)
-    cloud_b, parts_b, _ = realize(b)
+    # Without --num-points both clouds keep their common size, and the
+    # identity equalize draws nothing.
+    num_points = args.num_points or len(a.cloud)
+    cloud_a, parts_a, saliency_a = _render(a, num_points, stream)
+    cloud_b, parts_b, _ = _render(b, num_points, stream)
 
     if args.saliency:
         raw = _load_cloud_file(Path(args.saliency))

@@ -421,13 +421,6 @@ def equalize_indices(cloud: PointCloud, n: int, rng: RngStream) -> np.ndarray:
     return np.concatenate([np.arange(n_total, dtype=np.int64), pad.astype(np.int64)])
 
 
-def equalize(cloud: PointCloud, n: int, rng: RngStream) -> PointCloud:
-    indices = equalize_indices(cloud, n, rng)
-    if len(indices) == len(cloud) and np.array_equal(indices, np.arange(len(cloud))):
-        return cloud
-    return PointCloud(cloud.points[indices])
-
-
 def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Translate the centroid to the origin and scale the farthest point
     onto the unit sphere."""

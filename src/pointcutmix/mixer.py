@@ -34,7 +34,7 @@ from .core import (
     ReplacementMask,
     SaliencyWeights,
 )
-from .neighbors import SpatialIndex, build_index
+from .neighbors import build_index
 from .rng import RngStream
 
 # Offset added to min-shifted saliency weights so the flat case stays a
@@ -61,15 +61,12 @@ def mask_random(n_total: int, n: int, rng: RngStream) -> ReplacementMask:
     return ReplacementMask.from_kept_indices(kept, n_total)
 
 
-def mask_knn(
-    cloud: PointCloud, n: int, center_index: int, index: Optional[SpatialIndex] = None
-) -> ReplacementMask:
+def mask_knn(cloud: PointCloud, n: int, center_index: int) -> ReplacementMask:
     """Mask keeping the center point and its n-1 nearest neighbors."""
     if not 1 <= n <= len(cloud):
         raise ValueError(f"n must be in [1, {len(cloud)}], got {n}")
-    if index is None:
-        index = build_index(cloud)
-    return ReplacementMask.from_kept_indices(index.knn(center_index, n), len(cloud))
+    kept = build_index(cloud).knn(center_index, n)
+    return ReplacementMask.from_kept_indices(kept, len(cloud))
 
 
 def choose_center_saliency(weights: SaliencyWeights, rng: RngStream) -> int:

@@ -1,70 +1,25 @@
 """k-nearest-neighbor queries over a point cloud.
 
-A median-split kd-tree (widest axis, leaf size 16) retaining original point
-indices. Queries return exactly what a brute-force scan ordered by
-(distance, original index) would, with the query's own center point always
-first; the tie rule makes results independent of tree layout.
+A float64 linear scan over the cloud's points: a query returns the center
+point first, then the other points ordered by (squared distance, original
+index) ascending, so equal distances resolve to the lower index.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .core import PointCloud
-
-LEAF_SIZE = 16
-
-
-class _Node:
-    __slots__ = ("lo", "hi", "left", "right", "bbox_min", "bbox_max")
-
-    def __init__(self, lo, hi, bbox_min, bbox_max):
-        self.lo = lo
-        self.hi = hi
-        self.left = None
-        self.right = None
-        self.bbox_min = bbox_min
-        self.bbox_max = bbox_max
-
-    @property
-    def is_leaf(self):
-        return self.left is None
 
 
 class SpatialIndex:
     """Immutable after construction; concurrent queries are safe."""
 
     def __init__(self, cloud: PointCloud):
-        # Distance math runs in float64 so leaf scans agree bitwise with a
-        # float64 linear scan over the same coordinates.
         self._points = cloud.points.astype(np.float64)
-        n = len(self._points)
-        self._order = np.arange(n, dtype=np.int64)
-        self._root = self._build(0, n) if n else None
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def _build(self, lo: int, hi: int) -> _Node:
-        idx = self._order[lo:hi]
-        pts = self._points[idx]
-        node = _Node(lo, hi, pts.min(axis=0), pts.max(axis=0))
-        count = hi - lo
-        if count <= LEAF_SIZE:
-            return node
-        axis = int(np.argmax(node.bbox_max - node.bbox_min))
-        mid = count // 2
-        part = np.argpartition(pts[:, axis], mid)
-        self._order[lo:hi] = idx[part]
-        node.left = self._build(lo, lo + mid)
-        node.right = self._build(lo + mid, hi)
-        return node
-
-    def _min_dist2(self, node: _Node, c: np.ndarray) -> float:
-        delta = np.maximum(node.bbox_min - c, 0.0) + np.maximum(c - node.bbox_max, 0.0)
-        return float((delta * delta).sum())
 
     def knn(self, center_index: int, k: int) -> np.ndarray:
         """Indices of the k points nearest to points[center_index].
@@ -77,56 +32,12 @@ class SpatialIndex:
             raise IndexError(f"center index {center_index} out of range for {n} points")
         if not 1 <= k <= n:
             raise ValueError(f"k must be in [1, {n}], got {k}")
-        if k == 1:
-            return np.array([center_index], dtype=np.int64)
-        c = self._points[center_index]
-        if k == n:
-            diff = self._points - c
-            d2 = (diff * diff).sum(axis=1)
-            others = np.delete(np.arange(n, dtype=np.int64), center_index)
-            ranked = others[np.lexsort((others, d2[others]))]
-            return np.concatenate(([center_index], ranked))
-
-        # Bounded max-heap over (d2, index), worst candidate at the root;
-        # negated entries turn heapq's min-heap into the max-heap we need.
-        heap: list[tuple[float, float]] = []
-        limit = k - 1
-
-        def visit(node: _Node) -> None:
-            if len(heap) == limit and self._min_dist2(node, c) > -heap[0][0]:
-                return
-            if node.is_leaf:
-                idx = self._order[node.lo : node.hi]
-                diff = self._points[idx] - c
-                d2 = (diff * diff).sum(axis=1)
-                for j, i in enumerate(idx):
-                    if i == center_index:
-                        continue
-                    entry = (-d2[j], -float(i))
-                    if len(heap) < limit:
-                        heapq.heappush(heap, entry)
-                    elif entry > heap[0]:
-                        heapq.heapreplace(heap, entry)
-                return
-            # Descend toward the center first so the pruning bound
-            # tightens as early as possible.
-            near, far = node.left, node.right
-            if self._min_dist2(far, c) < self._min_dist2(near, c):
-                near, far = far, near
-            visit(near)
-            visit(far)
-
-        visit(self._root)
-        ranked = sorted((-d2, int(-ni)) for d2, ni in heap)
-        out = np.empty(k, dtype=np.int64)
-        out[0] = center_index
-        out[1:] = [i for _, i in ranked]
-        return out
+        diff = self._points - self._points[center_index]
+        d2 = (diff * diff).sum(axis=1)
+        others = np.delete(np.arange(n, dtype=np.int64), center_index)
+        ranked = others[np.lexsort((others, d2[others]))]
+        return np.concatenate(([center_index], ranked[: k - 1]))
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
-
-
-def knn(index: SpatialIndex, center_index: int, k: int) -> np.ndarray:
-    return index.knn(center_index, k)

@@ -46,7 +46,7 @@ def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
 def linear_scan_knn(points: np.ndarray, center: int, k: int) -> np.ndarray:
     """k nearest neighbors of points[center], center first, then the rest
     ordered by (squared distance, index). Distances use the same row-wise
-    float64 expression as the tree's leaf scan so results match bitwise."""
+    float64 expression as SpatialIndex.knn so results match bitwise."""
     pts = np.asarray(points, dtype=np.float64)
     diff = pts - pts[center]
     d2 = (diff * diff).sum(axis=1)

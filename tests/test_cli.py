@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointcutmix import cli
+from pointcutmix.assignment import optimal_assignment
 from pointcutmix.cli import (
     AugmentRun,
     augment_sample,
     main,
     scan_dataset,
 )
-from pointcutmix.assignment import optimal_assignment
 from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights, one_hot
 from pointcutmix.ingest import (
     equalize_indices,
@@ -362,6 +363,50 @@ def test_augment_manifest_write_failure_leaves_no_manifest(tmp_path, monkeypatch
     assert "No space left on device" in capsys.readouterr().err
     assert [p.name for p in out.iterdir() if p.is_file()] == []  # nor a partial file
     assert len(list(out.rglob("*.ply"))) == 6  # the samples themselves were written
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_augment_sample_write_failure_leaves_no_manifest(tmp_path, monkeypatch, capsys, jobs):
+    """A run whose sample write fails exits non-zero with no manifest.json and
+    no partial file; with --jobs 2 each forked worker fails at its third sample."""
+    data = write_dataset(tmp_path / "data", files_per_class=4)
+    out = tmp_path / "out"
+    real_write_ply = cli.write_ply
+    calls = []
+
+    def fail_at_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError("No space left on device")
+        return real_write_ply(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_ply", fail_at_third)
+    argv = ["augment", str(data), "--num-points", "32", "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert list(out.rglob("*.partial")) == []
+    assert len(list(out.rglob("*.ply"))) < 8
+
+
+def test_augment_sample_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
+    """A sample whose write fails half way leaves neither its file nor a partial."""
+    data = write_dataset(tmp_path / "data")
+    out = tmp_path / "out"
+    real_write_text = Path.write_text
+
+    def fail_half_way(path, text, *args, **kwargs):
+        if path.name == "vase_0.ply.partial":
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+        return real_write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_half_way)
+    assert main(["augment", str(data), "--num-points", "32", "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
+        "table_0.ply", "table_1.ply", "table_2.ply"
+    ]
 
 
 def test_augment_roundrobin_partners(tmp_path):

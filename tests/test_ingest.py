@@ -9,7 +9,6 @@ from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights
 from pointcutmix.ingest import (
     ParseError,
     TriangleMesh,
-    equalize,
     equalize_indices,
     farthest_point_sample,
     normalize_unit_sphere,
@@ -521,36 +520,38 @@ def test_fps_range_errors():
 def test_equalize_identity():
     rng = np.random.default_rng(64)
     cloud = random_cloud(rng, 32)
-    out = equalize(cloud, 32, make_stream(0))
-    assert out is cloud
+    stream = make_stream(0)
+    idx = equalize_indices(cloud, 32, stream)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, np.arange(32))
+    assert stream.random() == make_stream(0).random()  # no draw consumed
 
 
 def test_equalize_downsample_is_subset():
     rng = np.random.default_rng(65)
     cloud = random_cloud(rng, 80)
-    out = equalize(cloud, 30, make_stream(1))
-    assert len(out) == 30
-    source_rows = {tuple(p) for p in cloud.points.tolist()}
-    assert all(tuple(p) in source_rows for p in out.points.tolist())
-    assert len({tuple(p) for p in out.points.tolist()}) == 30
+    idx = equalize_indices(cloud, 30, make_stream(1))
+    assert len(idx) == 30
+    assert len(np.unique(idx)) == 30
+    assert idx.min() >= 0 and idx.max() < 80
 
 
 def test_equalize_pad_keeps_all_originals():
     rng = np.random.default_rng(66)
     cloud = random_cloud(rng, 7)
-    out = equalize(cloud, 12, make_stream(2))
-    assert len(out) == 12
-    assert np.array_equal(out.points[:7], cloud.points)
-    source_rows = {tuple(p) for p in cloud.points.tolist()}
-    assert all(tuple(p) in source_rows for p in out.points[7:].tolist())
+    idx = equalize_indices(cloud, 12, make_stream(2))
+    assert len(idx) == 12
+    assert np.array_equal(idx[:7], np.arange(7))
+    assert idx[7:].min() >= 0 and idx[7:].max() < 7
 
 
 def test_equalize_deterministic():
     rng = np.random.default_rng(67)
     cloud = random_cloud(rng, 100)
-    a = equalize(cloud, 40, make_stream(3))
-    b = equalize(cloud, 40, make_stream(3))
-    assert np.array_equal(a.points.view(np.uint32), b.points.view(np.uint32))
+    for n in (40, 130):
+        a = equalize_indices(cloud, n, make_stream(3))
+        b = equalize_indices(cloud, n, make_stream(3))
+        assert np.array_equal(a, b)
 
 
 def test_equalize_indices_align_labels():
@@ -566,7 +567,7 @@ def test_equalize_indices_align_labels():
 
 def test_equalize_rejects_nonpositive_target(rng):
     with pytest.raises(ValueError):
-        equalize(random_cloud(rng, 4), 0, make_stream(0))
+        equalize_indices(random_cloud(rng, 4), 0, make_stream(0))
 
 
 # --- normalization --------------------------------------------------------------
