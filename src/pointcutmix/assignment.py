@@ -22,6 +22,21 @@ view of it. Both take every bid of a round at the round's starting prices
 and resolve contested items by the same rule, so the path a round takes
 changes neither mappings nor cost bits.
 
+Above the exact threshold, optimal_assignment() starts the auction warm
+(Merigot 2011, "A multiscale approach to optimal transport"). Both clouds
+are farthest-point sampled from index 0, which draws nothing from any random
+stream, to a quarter of their points; that coarse pair is solved by a cold
+auction at ten times the final epsilon; each item of the second cloud takes
+the price of its nearest coarse item, shifted so the lowest is 0; and the
+full auction opens from those prices at epsilon max_cost / 64 rather than
+max_cost / 4. The certificate does not depend on the start: each phase ends
+with a complete assignment in epsilon-complementary slackness with its
+prices, whatever prices it began from, so the final phase still certifies
+cost <= optimum + N * epsilon_final (Bertsekas 1988, "The auction
+algorithm: a distributed relaxation method"). Near-optimal start prices
+only make the wide, large-epsilon phases unnecessary. solve_auction() is
+the cold auction alone.
+
 All arithmetic runs in 64-bit regardless of the 32-bit point storage.
 Distances come from a numpy kernel with the bits of scipy's cdist, so only
 the exact solver needs scipy, and it imports it on first use.
@@ -30,11 +45,12 @@ Solvers are pure functions: concurrent solves on distinct inputs are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Assignment, PointCloud
+from .ingest import farthest_point_sample
 
 # Above this size the auction solver recomputes cost rows on demand
 # instead of materializing the full N x N matrix.
@@ -53,6 +69,13 @@ _CACHE_WIDTH = 128
 
 # Auction rounds with at most this many bidders bid one bidder at a time.
 _SMALL_ROUND = 8
+
+# The warm start: the coarse pair has 1/_COARSE_FACTOR of the points and is
+# solved to _COARSE_EPSILON_RATIO times the final epsilon; the fine auction
+# then opens at epsilon max_cost / _WARM_EPSILON_DIVISOR.
+_COARSE_FACTOR = 4
+_COARSE_EPSILON_RATIO = 10.0
+_WARM_EPSILON_DIVISOR = 64.0
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
@@ -186,9 +209,17 @@ def solve_auction(
     n = _require_same_size(x1, x2)
     if n == 1:
         return Assignment(np.zeros(1, dtype=np.int64), cost(x1, 0, x2, 0), False)
-
     a = x1.points.astype(np.float64)
     b = x2.points.astype(np.float64)
+    return _auction(a, b, config, np.zeros(n), 4.0, 0)[0]
+
+
+def _auction(a, b, config, prices, eps_divisor, bids_used):
+    """The auction of solve_auction() on at least two float64 coordinate
+    rows, started from prices (updated in place) at epsilon max_cost /
+    eps_divisor, with bids_used bids already spent from the budget. Returns
+    the assignment, its final prices and the bids used in all."""
+    n = len(a)
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     dense = n <= DENSE_MATRIX_LIMIT
 
@@ -220,7 +251,7 @@ def solve_auction(
     if max_cost <= 0.0:
         # Every pairwise distance is zero: any bijection is optimal.
         mapping = np.arange(n, dtype=np.int64)
-        return Assignment(mapping, 0.0, False)
+        return Assignment(mapping, 0.0, False), prices, bids_used
 
     # The bid cache (module docstring). An empty row's threshold is
     # infinite, so its first bid misses and fills it.
@@ -300,9 +331,7 @@ def solve_auction(
             f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
         )
 
-    prices = np.zeros(n)
-    eps = max(max_cost / 4.0, config.epsilon_final)
-    bids_used = 0
+    eps = max(max_cost / eps_divisor, config.epsilon_final)
 
     while True:
         item_of = np.full(n, -1, dtype=np.int64)  # bidder -> item
@@ -368,18 +397,39 @@ def solve_auction(
         total = float((-negc[np.arange(n), item_of]).sum())
     else:
         total = float(np.linalg.norm(a - b[item_of], axis=1).sum())
-    return Assignment(item_of, total, False)
+    return Assignment(item_of, total, False), prices, bids_used
+
+
+def _warm_auction(x1: PointCloud, x2: PointCloud, config: SolverConfig):
+    """The auction started from prices lifted from a coarse solve (see the
+    module docstring); returns what _auction() does, coarse bids counted."""
+    n = _require_same_size(x1, x2)
+    a = x1.points.astype(np.float64)
+    b = x2.points.astype(np.float64)
+    m = max(2, n // _COARSE_FACTOR)
+    coarse_a = a[farthest_point_sample(x1, m, 0)]
+    coarse_b = b[farthest_point_sample(x2, m, 0)]
+    coarse_config = replace(config, epsilon_final=config.epsilon_final * _COARSE_EPSILON_RATIO)
+    _, coarse_prices, bids = _auction(coarse_a, coarse_b, coarse_config, np.zeros(m), 4.0, 0)
+    # Nearest coarse item, in row blocks that bound the scratch memory.
+    rows = max(1, _CHUNK_ELEMENTS // m)
+    nearest = np.concatenate(
+        [_distances(b[lo : lo + rows], coarse_b).argmin(axis=1) for lo in range(0, n, rows)]
+    )
+    prices = coarse_prices[nearest]
+    prices -= prices.min()
+    return _auction(a, b, config, prices, _WARM_EPSILON_DIVISOR, bids)
 
 
 def optimal_assignment(
     x1: PointCloud, x2: PointCloud, config: SolverConfig = DEFAULT_CONFIG
 ) -> Assignment:
     """Entry point used by the mixer: exact up to (and including) the
-    configured threshold, auction above it."""
+    configured threshold, the warm-started auction above it."""
     n = _require_same_size(x1, x2)
     if n <= config.exact_threshold:
         return solve_exact(x1, x2)
-    return solve_auction(x1, x2, config)
+    return _warm_auction(x1, x2, config)[0]
 
 
 def emd(x1: PointCloud, x2: PointCloud, config: SolverConfig = DEFAULT_CONFIG) -> float:

@@ -359,8 +359,8 @@ def cmd_emd(args) -> int:
     assignment = optimal_assignment(cloud_a, cloud_b)
     print(f"{assignment.total_cost / len(assignment):.6f}")
     if args.dump_assignment:
-        Path(args.dump_assignment).write_text(
-            "\n".join(str(int(j)) for j in assignment.mapping) + "\n"
+        _write_atomic(
+            Path(args.dump_assignment), "\n".join(str(int(j)) for j in assignment.mapping) + "\n"
         )
     return 0
 
@@ -412,8 +412,7 @@ def cmd_mix(args) -> int:
     )
 
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(write_ply(sample.cloud, sample.part_labels))
+    _write_atomic(out_path, write_ply(sample.cloud, sample.part_labels))
     sidecar = {
         "output_file": out_path.name,
         "source_a_id": str(args.file_a),
@@ -429,7 +428,7 @@ def cmd_mix(args) -> int:
     }
     if sample.center_index is not None:
         sidecar["center_index"] = sample.center_index
-    Path(str(out_path) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_atomic(Path(str(out_path) + ".json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -482,8 +481,7 @@ def cmd_sample(args) -> int:
         text = write_xyz(cloud)
     else:
         raise InputError(f"unsupported output extension {suffix!r} (use .ply or .xyz)")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text)
+    _write_atomic(out_path, text)
     return 0
 
 

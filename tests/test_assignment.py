@@ -1,8 +1,11 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from pointcutmix import assignment, ingest
 from pointcutmix.assignment import (
     DEFAULT_CONFIG,
     ConvergenceError,
@@ -15,8 +18,9 @@ from pointcutmix.assignment import (
     solve_exact,
 )
 from pointcutmix.core import PointCloud
+from pointcutmix.ingest import parse_ply
 
-from conftest import random_cloud
+from conftest import FIXTURES, random_cloud
 from oracles import brute_force_assignment, pairwise_distances
 
 # Frozen output of oracles.brute_force_assignment on the two 6-point clouds
@@ -218,6 +222,98 @@ def test_optimal_assignment_respects_custom_threshold(rng):
     b = random_cloud(rng, 32)
     config = SolverConfig(exact_threshold=16)
     assert not optimal_assignment(a, b, config).is_exact
+
+
+WARM_SIZES = (257, 300, 1024)
+
+
+def warm_inputs(kind: str, n: int):
+    """A pair of n-point clouds: Gaussian, the box-built shape fixtures, a
+    lattice with many equal distances, or every point repeated 8 times."""
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        a, b = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+    elif kind == "shapes":
+        a, b = (
+            parse_ply(Path(FIXTURES, f"{name}.ply").read_text())[0].points[:n]
+            for name in ("chair", "airplane")
+        )
+    elif kind == "lattice":
+        a, b = (rng.integers(0, 5, size=(n, 3)) * 0.25 for _ in range(2))
+    else:
+        a, b = (np.repeat(rng.standard_normal((n // 8 + 1, 3)), 8, axis=0)[:n] for _ in range(2))
+    return PointCloud(a.astype(np.float32)), PointCloud(b.astype(np.float32))
+
+
+@pytest.mark.parametrize("n", WARM_SIZES)
+def test_warm_auction_is_deterministic(n):
+    a, b = warm_inputs("random", n)
+    first = optimal_assignment(a, b)
+    second = assignment._warm_auction(a, b, DEFAULT_CONFIG)[0]
+    assert not first.is_exact
+    assert first.mapping.tolist() == second.mapping.tolist()
+    assert np.float64(first.total_cost).tobytes() == np.float64(second.total_cost).tobytes()
+
+
+@pytest.mark.parametrize("n", WARM_SIZES)
+@pytest.mark.parametrize("kind", ["random", "shapes", "lattice", "duplicates"])
+def test_warm_auction_certificate_and_bids(kind, n):
+    """Started from lifted prices, the auction keeps the cold certificate,
+    and spends at most 1.5x the cold auction's bids, coarse solve included."""
+    a, b = warm_inputs(kind, n)
+    c = cost_matrix(a, b)
+    rows, cols = linear_sum_assignment(c)
+    exact = c[rows, cols].sum()
+    warm, _, warm_bids = assignment._warm_auction(a, b, DEFAULT_CONFIG)
+    coords = (a.points.astype(np.float64), b.points.astype(np.float64))
+    _, _, cold_bids = assignment._auction(*coords, DEFAULT_CONFIG, np.zeros(n), 4.0, 0)
+    assert warm.total_cost >= exact - 1e-9
+    assert warm.total_cost - exact <= n * DEFAULT_CONFIG.epsilon_final
+    assert warm_bids <= 1.5 * cold_bids, (warm_bids, cold_bids)
+
+
+def test_warm_auction_matrix_free_matches_dense(rng, monkeypatch):
+    n = 600
+    a = random_cloud(rng, n)
+    b = random_cloud(rng, n)
+    dense = optimal_assignment(a, b)
+    monkeypatch.setattr(assignment, "DENSE_MATRIX_LIMIT", 10)
+    monkeypatch.setattr(assignment, "_CHUNK_ELEMENTS", 16 * n)
+    tracemalloc.start()
+    try:
+        chunked = optimal_assignment(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(dense.mapping, chunked.mapping)
+    assert chunked.total_cost == dense.total_cost
+    # The price lift reads distances to the coarse items in row blocks too:
+    # one n x n/4 matrix would already exceed this.
+    assert peak < n * n * 8 / 8, f"peak {peak} bytes"
+
+
+def test_warm_auction_coarse_pair_at_zero_cost_starts_from_zero(monkeypatch):
+    starts = []
+    real_auction = assignment._auction
+
+    def record(a, b, config, prices, eps_divisor, bids_used):
+        starts.append(prices.copy())
+        return real_auction(a, b, config, prices, eps_divisor, bids_used)
+
+    monkeypatch.setattr(assignment, "_auction", record)
+    a = PointCloud(np.ones((300, 3), dtype=np.float32))
+    result = optimal_assignment(a, a)
+    assert result.total_cost == 0.0
+    assert [len(prices) for prices in starts] == [75, 300]
+    assert not starts[1].any()
+
+
+def test_warm_start_is_not_traced_as_source_sampling(rng, monkeypatch):
+    """The coarse sampling calls the function bound at import, so a wrapper
+    installed on the ingest module (as the benchmark's trace does) sees
+    only source preparation."""
+    monkeypatch.setattr(ingest, "farthest_point_sample", None)
+    assert not optimal_assignment(random_cloud(rng, 300), random_cloud(rng, 300)).is_exact
 
 
 def test_emd_frozen_value():

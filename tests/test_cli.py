@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointcutmix import cli
-from pointcutmix.assignment import optimal_assignment
+from pointcutmix import assignment, cli
+from pointcutmix.assignment import optimal_assignment, solve_auction
 from pointcutmix.cli import (
     AugmentRun,
     augment_sample,
@@ -407,6 +407,51 @@ def test_augment_sample_written_whole_or_not_at_all(tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in out.rglob("*") if p.is_file()) == [
         "table_0.ply", "table_1.ply", "table_2.ply"
     ]
+
+
+def test_warm_start_moves_no_random_draw(tmp_path, monkeypatch):
+    """The warm-started auction draws nothing: against the cold auction, the
+    manifest (gates, partners, lambda, n_kept, label weights) is the same
+    bytes, and only the replaced points of the samples may move."""
+    data = write_dataset(tmp_path / "data", n_points=300, files_per_class=4)
+    argv = ["augment", str(data), "--mode", "k", "--rho", "1", "--num-points", "300"]
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    monkeypatch.setattr(
+        assignment, "_warm_auction", lambda x1, x2, config: (solve_auction(x1, x2, config),)
+    )
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    warm, cold = output_tree(tmp_path / "warm"), output_tree(tmp_path / "cold")
+    assert warm.keys() == cold.keys()
+    assert warm["manifest.json"] == cold["manifest.json"]
+    assert any(warm[name] != cold[name] for name in warm)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["mix", EMD6_A, "a", EMD6_B, "b", "--lambda", "0.5", "--out", "{out}/mix.ply"], "mix.ply"),
+        (["mix", EMD6_A, "a", EMD6_B, "b", "--lambda", "0.5", "--out", "{out}/mix.ply"],
+         "mix.ply.json"),
+        (["sample", "{out}/cube.off", "--num-points", "64", "--out", "{out}/cube.ply"], "cube.ply"),
+        (["emd", EMD6_A, EMD6_B, "--dump-assignment", "{out}/map.txt"], "map.txt"),
+    ],
+)
+def test_one_shot_output_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys, command, target):
+    """An output whose write fails half way leaves neither its file nor a partial."""
+    (tmp_path / "cube.off").write_text(UNIT_CUBE_OFF)
+    real_write_text = Path.write_text
+
+    def fail_half_way(path, text, *args, **kwargs):
+        if path.name in (target, target + ".partial"):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+        return real_write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_half_way)
+    assert main([arg.format(out=tmp_path) for arg in command]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / target).exists()
+    assert not (tmp_path / (target + ".partial")).exists()
 
 
 def test_augment_roundrobin_partners(tmp_path):
