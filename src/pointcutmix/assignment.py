@@ -13,7 +13,7 @@ monotone in p, so no uncached net value ever exceeds T. A bid whose cached
 best is above T and cached second at least T therefore picks the same item
 with the same increment, bit for bit, as a scan of the full row; any other
 bid scans the full row and refills the cache. The cache holds n * m
-entries, at most an eighth of a row block.
+entries, at most an eighth of _CHUNK_ELEMENTS.
 
 Rounds with many bidders bid as one vectorized block; rounds with few (late
 in each phase, where most rounds have two to eight bidders) bid one bidder
@@ -56,8 +56,9 @@ from .ingest import farthest_point_sample
 # instead of materializing the full N x N matrix.
 DENSE_MATRIX_LIMIT = 4096
 
-# Bids are computed in row blocks of at most this many elements, which
-# bounds the solver's scratch memory (all of it on the matrix-free path).
+# Bounds the solver's scratch memory (all of it on the matrix-free path):
+# row blocks of distances hold at most this many elements, a wide round's
+# cache gather an eighth of it and a block of refilled rows a sixty-fourth.
 _CHUNK_ELEMENTS = 1 << 22
 
 # Distances are computed in row blocks of about this many elements, small
@@ -112,7 +113,7 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cache_width(n: int) -> int:
     """Items cached per bidder: at most n - 1, and n * width at most an
-    eighth of a row block."""
+    eighth of _CHUNK_ELEMENTS."""
     return max(1, min(_CACHE_WIDTH, n - 1, _CHUNK_ELEMENTS // (8 * n)))
 
 
@@ -146,16 +147,6 @@ def _require_same_size(x1: PointCloud, x2: PointCloud) -> int:
     if len(x1) != len(x2):
         raise ValueError(f"cloud sizes differ: {len(x1)} vs {len(x2)}")
     return len(x1)
-
-
-def cost(x1: PointCloud, i: int, x2: PointCloud, j: int) -> float:
-    """Euclidean distance between point i of x1 and point j of x2."""
-    if not 0 <= i < len(x1):
-        raise IndexError(f"index {i} out of range for cloud of {len(x1)} points")
-    if not 0 <= j < len(x2):
-        raise IndexError(f"index {j} out of range for cloud of {len(x2)} points")
-    d = x1.points[i].astype(np.float64) - x2.points[j].astype(np.float64)
-    return float(np.sqrt(np.dot(d, d)))
 
 
 def cost_matrix(x1: PointCloud, x2: PointCloud) -> np.ndarray:
@@ -207,10 +198,10 @@ def solve_auction(
     as the lexsort of the wide rounds does.
     """
     n = _require_same_size(x1, x2)
-    if n == 1:
-        return Assignment(np.zeros(1, dtype=np.int64), cost(x1, 0, x2, 0), False)
     a = x1.points.astype(np.float64)
     b = x2.points.astype(np.float64)
+    if n == 1:
+        return Assignment(np.zeros(1, dtype=np.int64), float(np.linalg.norm(a[0] - b[0])), False)
     return _auction(a, b, config, np.zeros(n), 4.0, 0)[0]
 
 
@@ -220,10 +211,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
     eps_divisor, with bids_used bids already spent from the budget. Returns
     the assignment, its final prices and the bids used in all."""
     n = len(a)
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
-    dense = n <= DENSE_MATRIX_LIMIT
-
-    if dense:
+    if n <= DENSE_MATRIX_LIMIT:
         # Benefits are negated costs. Negation is exact, so every bid below
         # has the bits it would have if computed from -c row by row. Each
         # block is read and negated while it is still in cache.
@@ -239,6 +227,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
             return negc[rows]
 
     else:
+        rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
         max_cost = max(
             float(_distances(a[lo : lo + rows_per_chunk], b).max())
             for lo in range(0, n, rows_per_chunk)
@@ -260,7 +249,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
     cache_benefits = np.zeros((n, m))
     threshold = np.full(n, np.inf)
     refill_rows = max(1, _CHUNK_ELEMENTS // 64 // n)
-    ramp = np.arange(rows_per_chunk)
+    ramp = np.arange(n)
 
     def bid(rows):
         """Best item and bid increment for each bidder in rows (an index
@@ -342,11 +331,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
             bids_used += u
             if bids_used > config.max_auction_rounds:
                 raise over_budget()
-            # Row blocks bound scratch memory; bids within a Jacobi round are
-            # independent per bidder, so blocking does not change them.
-            blocks = [bid(bidders[lo : lo + rows_per_chunk]) for lo in range(0, u, rows_per_chunk)]
-            best_item = np.concatenate([items for items, _ in blocks])
-            increment = np.concatenate([increments for _, increments in blocks])
+            best_item, increment = bid(bidders)
 
             # Per contested item keep the highest bid, ties to the smaller
             # bidder index, so rounds are fully deterministic.
@@ -393,10 +378,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
             break
         eps = max(eps / config.epsilon_scaling_factor, config.epsilon_final)
 
-    if dense:
-        total = float((-negc[np.arange(n), item_of]).sum())
-    else:
-        total = float(np.linalg.norm(a - b[item_of], axis=1).sum())
+    total = float(np.linalg.norm(a - b[item_of], axis=1).sum())
     return Assignment(item_of, total, False), prices, bids_used
 
 

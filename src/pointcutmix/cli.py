@@ -28,6 +28,7 @@ from typing import Optional
 
 from .assignment import DEFAULT_CONFIG, optimal_assignment
 from .core import (
+    AugmentPolicy,
     MixedSample,
     PartLabels,
     PointCloud,
@@ -205,10 +206,7 @@ class AugmentRun:
 
     dataset: Dataset
     out_dir: Path
-    mode: str
-    beta: float
-    rho: float
-    seed: int
+    policy: AugmentPolicy
     num_points: int
     epochs: int
     pairs: str
@@ -222,16 +220,27 @@ class AugmentRun:
         return j + 1 if j >= sample_index else j
 
 
+def _sample_record(sample: MixedSample, classes: list[str]) -> dict:
+    """The fields a manifest entry and a mix sidecar both record of a sample."""
+    return {
+        "lambda_effective": sample.lam_effective,
+        "n_kept": sample.mask.n_kept,
+        "label_weights": {
+            classes[k]: float(w) for k, w in enumerate(sample.label.weights) if w != 0.0
+        },
+    }
+
+
 def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
     """Produce one output file and its manifest entry. Self-contained and
     deterministic in (run, epoch, sample_index), so scheduling cannot
     matter; this is also the replay path for verifying manifests."""
-    dataset = run.dataset
+    dataset, policy = run.dataset, run.policy
     source = dataset.samples[sample_index]
     num_classes = len(dataset.classes)
-    stream_seed = mix64(run.seed, epoch, sample_index)
+    stream_seed = mix64(policy.seed, epoch, sample_index)
     stream = make_stream(stream_seed)
-    mixed_gate = stream.random() < run.rho
+    mixed_gate = stream.random() < policy.mix_prob
 
     out_rel = f"epoch{epoch:03d}/{source.rel_id.rsplit('/', 1)[0]}/{Path(source.rel_id).stem}.ply"
     entry = {
@@ -239,7 +248,7 @@ def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
         "epoch": epoch,
         "sample_index": sample_index,
         "source_a_id": source.rel_id,
-        "mode": run.mode,
+        "mode": policy.mode,
         "seed": stream_seed,
     }
 
@@ -252,16 +261,16 @@ def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
         partner = dataset.samples[partner_index]
         cloud_a, parts_a, saliency_a = prepare_source(source, run.num_points, stream)
         cloud_b, parts_b, _ = prepare_source(partner, run.num_points, stream)
-        lam = sample_lambda(run.beta, stream)
+        lam = sample_lambda(policy.beta, stream)
         sample = mix_pair(
             cloud_a,
             one_hot(source.class_index, num_classes),
             cloud_b,
             one_hot(partner.class_index, num_classes),
             lam,
-            run.mode,
+            policy.mode,
             stream,
-            beta=run.beta,
+            beta=policy.beta,
             saliency=saliency_a,
             parts1=parts_a if run.segmentation else None,
             parts2=parts_b if run.segmentation else None,
@@ -269,13 +278,7 @@ def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
         )
         entry["source_b_id"] = partner.rel_id
 
-    entry["lambda_effective"] = sample.lam_effective
-    entry["n_kept"] = sample.mask.n_kept
-    entry["label_weights"] = {
-        dataset.classes[k]: float(w)
-        for k, w in enumerate(sample.label.weights)
-        if w != 0.0
-    }
+    entry.update(_sample_record(sample, dataset.classes))
     text = write_ply(sample.cloud, sample.part_labels if run.segmentation else None)
     _write_atomic(run.out_dir / out_rel, text)
     return entry
@@ -291,7 +294,9 @@ def _run_task(task: tuple[int, int]) -> dict:
 
 def run_augment(run: AugmentRun, jobs: int) -> dict:
     """Drive all (epoch, sample) tasks, write manifest.json, return it."""
-    dataset = run.dataset
+    dataset, policy = run.dataset, run.policy
+    # A failed rerun must not leave an earlier run's manifest beside its samples.
+    (run.out_dir / "manifest.json").unlink(missing_ok=True)
     tasks = [(e, i) for e in range(run.epochs) for i in range(len(dataset.samples))]
     if jobs <= 1:
         entries = [augment_sample(run, epoch, index) for epoch, index in tasks]
@@ -299,7 +304,7 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if run.rho > 0.0 and run.num_points <= DEFAULT_CONFIG.exact_threshold:
+        if policy.mix_prob > 0.0 and run.num_points <= DEFAULT_CONFIG.exact_threshold:
             # The exact route imports scipy on first use: import it once
             # here, so forked workers share it instead of each importing it.
             import scipy.optimize  # noqa: F401
@@ -321,10 +326,10 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
     manifest = {
         "command": "segment-augment" if run.segmentation else "augment",
         "classes": dataset.classes,
-        "mode": run.mode,
-        "beta": run.beta,
-        "rho": run.rho,
-        "seed": run.seed,
+        "mode": policy.mode,
+        "beta": policy.beta,
+        "rho": policy.mix_prob,
+        "seed": policy.seed,
         "num_points": run.num_points,
         "epochs": run.epochs,
         "pairs": run.pairs,
@@ -412,57 +417,49 @@ def cmd_mix(args) -> int:
     )
 
     out_path = Path(args.out)
-    _write_atomic(out_path, write_ply(sample.cloud, sample.part_labels))
+    sidecar_path = Path(str(out_path) + ".json")
     sidecar = {
         "output_file": out_path.name,
         "source_a_id": str(args.file_a),
         "source_b_id": str(args.file_b),
         "mode": args.mode,
         "lambda": lam,
-        "lambda_effective": sample.lam_effective,
-        "n_kept": sample.mask.n_kept,
-        "label_weights": {
-            classes[k]: float(w) for k, w in enumerate(sample.label.weights) if w != 0.0
-        },
         "seed": args.seed,
+        **_sample_record(sample, classes),
     }
     if sample.center_index is not None:
         sidecar["center_index"] = sample.center_index
-    _write_atomic(Path(str(out_path) + ".json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_path, write_ply(sample.cloud, sample.part_labels))
+    try:
+        _write_atomic(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        out_path.unlink(missing_ok=True)  # the pair is written whole or not at all
+        sidecar_path.unlink(missing_ok=True)
+        raise
     return 0
 
 
-def _make_run(args, *, segmentation: bool) -> AugmentRun:
+def cmd_augment(args) -> int:
+    """augment, or segment-augment when args.segmentation is set."""
     dataset = scan_dataset(
         Path(args.dataset_dir),
-        require_parts=segmentation,
+        require_parts=args.segmentation,
         require_saliency=args.mode == "s",
     )
     if args.rho > 0.0 and len(dataset.samples) < 2:
         raise InputError("mixing needs at least 2 readable samples (or --rho 0)")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return AugmentRun(
+    run = AugmentRun(
         dataset=dataset,
         out_dir=out_dir,
-        mode=args.mode,
-        beta=args.beta,
-        rho=args.rho,
-        seed=args.seed,
+        policy=AugmentPolicy(beta=args.beta, mix_prob=args.rho, mode=args.mode, seed=args.seed),
         num_points=args.num_points,
         epochs=args.epochs,
         pairs=args.pairs,
-        segmentation=segmentation,
+        segmentation=args.segmentation,
     )
-
-
-def cmd_augment(args) -> int:
-    run_augment(_make_run(args, segmentation=False), args.jobs)
-    return 0
-
-
-def cmd_segment_augment(args) -> int:
-    run_augment(_make_run(args, segmentation=True), args.jobs)
+    run_augment(run, args.jobs)
     return 0
 
 
@@ -578,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     augment_cmd = commands.add_parser("augment", help="augment a classification dataset")
     _add_augment_flags(augment_cmd, default_rho=1.0)
-    augment_cmd.set_defaults(func=cmd_augment)
+    augment_cmd.set_defaults(func=cmd_augment, segmentation=False)
 
     seg_cmd = commands.add_parser("segment-augment", help="augment a part-labeled dataset")
     _add_augment_flags(seg_cmd, default_rho=0.5)
-    seg_cmd.set_defaults(func=cmd_segment_augment)
+    seg_cmd.set_defaults(func=cmd_augment, segmentation=True)
 
     sample_cmd = commands.add_parser("sample", help="surface-sample a mesh to a cloud")
     sample_cmd.add_argument("mesh_file")

@@ -14,9 +14,16 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from pointcutmix.assignment import ConvergenceError, SolverConfig, cost
+from pointcutmix.assignment import ConvergenceError, SolverConfig
 from pointcutmix.core import Assignment, PartLabels, PointCloud, SaliencyWeights
 from pointcutmix.ingest import ParseError
+
+
+def cost(x1: PointCloud, i: int, x2: PointCloud, j: int) -> float:
+    """||x1_i - x2_j|| as sqrt(dot(d, d)) in float64: the library's single-
+    point auction cost, bit for bit."""
+    d = x1.points[i].astype(np.float64) - x2.points[j].astype(np.float64)
+    return float(np.sqrt(np.dot(d, d)))
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from pointcutmix.assignment import (
     DEFAULT_CONFIG,
     ConvergenceError,
     SolverConfig,
-    cost,
     cost_matrix,
     emd,
     optimal_assignment,
@@ -21,7 +20,7 @@ from pointcutmix.core import PointCloud
 from pointcutmix.ingest import parse_ply
 
 from conftest import FIXTURES, random_cloud
-from oracles import brute_force_assignment, pairwise_distances
+from oracles import brute_force_assignment, cost, pairwise_distances
 
 # Frozen output of oracles.brute_force_assignment on the two 6-point clouds
 # drawn below from default_rng(20260815); see that module for the method.
@@ -35,22 +34,6 @@ def frozen6():
     a = PointCloud(rng.standard_normal((6, 3)).astype(np.float32))
     b = PointCloud(rng.standard_normal((6, 3)).astype(np.float32))
     return a, b
-
-
-def test_cost_basic_properties(rng):
-    a = random_cloud(rng, 5)
-    b = random_cloud(rng, 5)
-    assert cost(a, 0, a, 0) == 0.0
-    assert cost(a, 1, b, 2) == pytest.approx(cost(b, 2, a, 1))
-    assert cost(a, 1, b, 2) >= 0.0
-
-
-def test_cost_index_errors(rng):
-    a = random_cloud(rng, 3)
-    with pytest.raises(IndexError):
-        cost(a, 3, a, 0)
-    with pytest.raises(IndexError):
-        cost(a, 0, a, -1)
 
 
 def test_cost_matrix_matches_reference(rng):
@@ -152,6 +135,12 @@ def test_auction_single_point():
     result = solve_auction(a, b)
     assert list(result.mapping) == [0]
     assert result.total_cost == pytest.approx(5.0)
+    # Same bits as sqrt(dot(d, d)). cdist's summation order differs in the
+    # last place on about 1 % of float32 pairs, so 1000 pairs tell them apart.
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        a, b = random_cloud(rng, 1), random_cloud(rng, 1)
+        assert solve_auction(a, b).total_cost == cost(a, 0, b, 0)
 
 
 def test_auction_matrix_free_path_matches_dense(rng, monkeypatch):

@@ -15,7 +15,7 @@ from pointcutmix.cli import (
     main,
     scan_dataset,
 )
-from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights, one_hot
+from pointcutmix.core import AugmentPolicy, PartLabels, PointCloud, SaliencyWeights, one_hot
 from pointcutmix.ingest import (
     equalize_indices,
     normalize_unit_sphere,
@@ -389,6 +389,29 @@ def test_augment_sample_write_failure_leaves_no_manifest(tmp_path, monkeypatch, 
     assert len(list(out.rglob("*.ply"))) < 8
 
 
+def test_augment_rerun_failure_leaves_no_earlier_manifest(tmp_path, monkeypatch, capsys):
+    """A failed rerun into an earlier run's --out does not leave the earlier
+    manifest beside the new samples, where the tree would look complete."""
+    data = write_dataset(tmp_path / "data", files_per_class=4)
+    out = tmp_path / "out"
+    argv = ["augment", str(data), "--num-points", "32", "--out", str(out)]
+    assert main(argv + ["--seed", "1"]) == 0
+    assert (out / "manifest.json").exists()
+    real_write_ply = cli.write_ply
+    calls = []
+
+    def fail_at_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise OSError("No space left on device")
+        return real_write_ply(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_ply", fail_at_third)
+    assert main(argv + ["--seed", "2"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_augment_sample_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     """A sample whose write fails half way leaves neither its file nor a partial."""
     data = write_dataset(tmp_path / "data")
@@ -439,6 +462,8 @@ def test_warm_start_moves_no_random_draw(tmp_path, monkeypatch):
 def test_one_shot_output_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys, command, target):
     """An output whose write fails half way leaves neither its file nor a partial."""
     (tmp_path / "cube.off").write_text(UNIT_CUBE_OFF)
+    if target == "mix.ply.json":
+        (tmp_path / target).write_text("{}\n")  # an earlier run's sidecar goes too
     real_write_text = Path.write_text
 
     def fail_half_way(path, text, *args, **kwargs):
@@ -452,6 +477,8 @@ def test_one_shot_output_written_whole_or_not_at_all(tmp_path, monkeypatch, caps
     assert "No space left on device" in capsys.readouterr().err
     assert not (tmp_path / target).exists()
     assert not (tmp_path / (target + ".partial")).exists()
+    if target == "mix.ply.json":
+        assert not (tmp_path / "mix.ply").exists()  # the pair is all or nothing
 
 
 def test_augment_roundrobin_partners(tmp_path):
@@ -568,10 +595,12 @@ def test_augment_manifest_replay(tmp_path):
     run = AugmentRun(
         dataset=scan_dataset(data),
         out_dir=replay_dir,
-        mode=manifest["mode"],
-        beta=manifest["beta"],
-        rho=manifest["rho"],
-        seed=manifest["seed"],
+        policy=AugmentPolicy(
+            beta=manifest["beta"],
+            mix_prob=manifest["rho"],
+            mode=manifest["mode"],
+            seed=manifest["seed"],
+        ),
         num_points=manifest["num_points"],
         epochs=manifest["epochs"],
         pairs=manifest["pairs"],
