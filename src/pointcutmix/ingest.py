@@ -118,12 +118,13 @@ def parse_off(text) -> TriangleMesh:
     if n_vertices < 0 or n_faces < 0:
         raise ParseError(f"line {num}: counts must be non-negative")
 
-    vertices = np.empty((n_vertices, 3), dtype=np.float64)
+    vertices = []  # collected as read: a huge declared count allocates nothing
     for i in range(n_vertices):
         num, line = next_line(f"vertex line {i + 1} of {n_vertices}")
-        vertices[i] = _floats(line.split(), 3, num)
-        if not np.isfinite(vertices[i]).all():
-            raise ParseError(f"line {num}: non-finite vertex coordinate")
+        vertices.append(_floats(line.split(), 3, num))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(vertices[-1])).all():
+                raise ParseError(f"line {num}: non-finite vertex coordinate")
 
     triangles = []
     for i in range(n_faces):
@@ -138,15 +139,14 @@ def parse_off(text) -> TriangleMesh:
             raise ParseError(f"line {num}: unsupported face arity {arity} (triangles and quads only)")
         if len(indices) < arity:
             raise ParseError(f"line {num}: face lists {len(indices)} of {arity} vertex indices")
+        if not all(0 <= j < n_vertices for j in indices):
+            raise ParseError(f"line {num}: face references a vertex index out of range")
         triangles.append(indices[:3])
         if arity == 4:
             triangles.append([indices[0], indices[2], indices[3]])
 
-    faces = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    try:
-        return TriangleMesh(vertices, faces)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    return TriangleMesh(vertices, np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 _INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max

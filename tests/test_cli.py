@@ -508,6 +508,21 @@ def test_augment_skips_unreadable_files(tmp_path, capsys):
     assert all("broken" not in e["source_a_id"] for e in manifest["entries"])
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["OFF\n1000000000000 0 0\n", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9223372036854775808\n"],
+    ids=["huge-vertex-count", "face-index-past-int64"],
+)
+def test_augment_skips_off_files_with_impossible_counts(tmp_path, body):
+    data = write_dataset(tmp_path / "data")
+    (data / "table" / "bad.off").write_text(body)
+    out = tmp_path / "out"
+    assert main(["augment", str(data), "--num-points", "32", "--out", str(out)]) == 0
+    manifest = read_manifest(out)
+    assert [s["file"] for s in manifest["skipped"]] == ["table/bad.off"]
+    assert len(manifest["entries"]) == 6
+
+
 def output_tree(out_dir: Path) -> dict:
     """Relative path -> bytes of every file a run wrote."""
     return {

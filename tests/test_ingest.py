@@ -79,8 +79,33 @@ def test_parse_off_rejects_big_faces():
 
 def test_parse_off_face_index_out_of_range():
     text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 6: "):
         parse_off(text)
+
+
+@pytest.mark.parametrize("index", ["-1", "4", str(2**63), str(-(2**63) - 1)])
+@pytest.mark.parametrize("face", ["3 0 {} 2", "4 0 1 2 {}"], ids=["triangle", "quad"])
+def test_parse_off_face_index_outside_the_vertices_names_line(face, index):
+    """Checked as read: an index past int64 never reaches an int64 array,
+    where it would raise OverflowError and abort a batch."""
+    text = "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n" + face.format(index) + "\n"
+    with pytest.raises(ParseError, match="^line 8: face references a vertex index out of range$"):
+        parse_off(text)
+
+
+def test_parse_off_huge_vertex_count_is_a_parse_error():
+    """A declared count far beyond the body is reported, not allocated: an
+    array of 10**12 rows would raise MemoryError, which aborts a batch."""
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse_off("OFF\n1000000000000 0 0\n")
+
+
+def test_parse_off_vertex_past_float32_names_line():
+    text = "OFF\n3 1 0\n0 0 0\n1e39 0 0\n0 1 0\n3 0 1 2\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^line 4: "):
+            parse_off(text)
 
 
 def test_parse_off_skips_comments_and_blanks():
