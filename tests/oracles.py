@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from pointcutmix.assignment import ConvergenceError, SolverConfig
 from pointcutmix.core import Assignment, PartLabels, PointCloud, SaliencyWeights
-from pointcutmix.ingest import ParseError
+from pointcutmix.ingest import ParseError, TriangleMesh
 
 
 def cost(x1: PointCloud, i: int, x2: PointCloud, j: int) -> float:
@@ -324,3 +324,116 @@ def reference_write_ply(
 def reference_write_xyz(cloud: PointCloud) -> str:
     """Frozen copy of write_xyz as first released."""
     return "\n".join(" ".join(_fmt(v) for v in p) for p in cloud.points) + "\n"
+
+
+def _reference_content_lines(text: str):
+    """(line_number, stripped_line) pairs, skipping blanks and # comments.
+    Lines end at "\n", "\r\n" or a lone "\r" only."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for num, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield num, line
+
+
+def _reference_floats(fields, count, num):
+    try:
+        values = [float(f) for f in fields[:count]]
+    except ValueError:
+        raise ParseError(f"line {num}: expected numeric fields, got {fields[:count]}") from None
+    if len(values) < count:
+        raise ParseError(f"line {num}: expected {count} numeric fields, found {len(fields)}")
+    return values
+
+
+def reference_parse_xyz(text) -> PointCloud:
+    """Frozen copy of parse_xyz as read one line at a time. The library's
+    parser must return the same points bit for bit, or raise a ParseError
+    naming the same line, or the same exception type.
+
+    Parse whitespace-separated coordinate lines; fields past the third
+    are ignored, blank and # comment lines are skipped."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    points = []
+    for num, line in _reference_content_lines(text):
+        fields = line.split()
+        if len(fields) < 3:
+            raise ParseError(f"line {num}: expected at least 3 fields, found {len(fields)}")
+        points.append(_reference_floats(fields, 3, num))
+    return PointCloud(np.asarray(points, dtype=np.float64).reshape(-1, 3).astype(np.float32))
+
+
+def reference_parse_off(text) -> TriangleMesh:
+    """Frozen copy of parse_off as read one line at a time, with vertex rows
+    collected as read and each face index checked as read. The library's
+    parser must return the same vertices and faces bit for bit, or raise a
+    ParseError naming the same line, or the same exception type.
+
+    Parse an ASCII OFF mesh. Accepts the fused first-line variant where
+    the counts share the header line; quad faces are split fan-wise into
+    two triangles."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    lines = _reference_content_lines(text)
+    last_num = 0
+
+    def next_line(what):
+        nonlocal last_num
+        try:
+            num, line = next(lines)
+        except StopIteration:
+            raise ParseError(f"line {last_num + 1}: unexpected end of file, expected {what}") from None
+        last_num = num
+        return num, line
+
+    num, line = next_line("OFF header")
+    if line == "OFF":
+        num, line = next_line("counts line")
+        counts_fields = line.split()
+    elif line.startswith("OFF"):
+        counts_fields = line[3:].split()
+    else:
+        raise ParseError(f"line {num}: expected OFF header, got {line.split()[0]!r}")
+    if len(counts_fields) < 3:
+        raise ParseError(f"line {num}: expected vertex/face/edge counts")
+    try:
+        n_vertices, n_faces = int(counts_fields[0]), int(counts_fields[1])
+    except ValueError:
+        raise ParseError(f"line {num}: counts must be integers, got {counts_fields[:3]}") from None
+    if n_vertices < 0 or n_faces < 0:
+        raise ParseError(f"line {num}: counts must be non-negative")
+
+    vertices = []
+    for i in range(n_vertices):
+        num, line = next_line(f"vertex line {i + 1} of {n_vertices}")
+        vertices.append(_reference_floats(line.split(), 3, num))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(vertices[-1])).all():
+                raise ParseError(f"line {num}: non-finite vertex coordinate")
+
+    triangles = []
+    for i in range(n_faces):
+        num, line = next_line(f"face line {i + 1} of {n_faces}")
+        fields = line.split()
+        try:
+            arity = int(fields[0])
+            indices = [int(f) for f in fields[1 : 1 + arity]]
+        except ValueError:
+            raise ParseError(f"line {num}: face fields must be integers") from None
+        if arity < 3 or arity > 4:
+            raise ParseError(f"line {num}: unsupported face arity {arity} (triangles and quads only)")
+        if len(indices) < arity:
+            raise ParseError(f"line {num}: face lists {len(indices)} of {arity} vertex indices")
+        if not all(0 <= j < n_vertices for j in indices):
+            raise ParseError(f"line {num}: face references a vertex index out of range")
+        triangles.append(indices[:3])
+        if arity == 4:
+            triangles.append([indices[0], indices[2], indices[3]])
+
+    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
+    return TriangleMesh(vertices, np.asarray(triangles, dtype=np.int64).reshape(-1, 3))

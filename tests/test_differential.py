@@ -19,9 +19,18 @@ reference arrays bit for bit or raise the reference exception with the same
 message, on written files and on mutations of them: blank lines, CR and CRLF
 line ends, tabs, extra fields, exotic separators, odd numeric tokens,
 non-finite values, truncated bodies and surplus rows.
+
+parse_xyz and parse_off must return the reference arrays bit for bit, or
+raise a ParseError naming the same line, or the same exception type, on
+written XYZ files and generated OFF meshes under the same mutations, plus
+# comment lines and trailing comments, the fused "OFFn m k" header, quads
+and mixed bodies, unsupported arities, short face rows, odd integer tokens,
+out-of-range indices, values past float32, off-by-a-few counts and lines
+after the faces.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,13 +42,23 @@ from scipy.spatial.distance import cdist
 from pointcutmix import assignment
 from pointcutmix.assignment import ConvergenceError, SolverConfig, solve_auction
 from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights
-from pointcutmix.ingest import farthest_point_sample, parse_ply, write_ply, write_xyz
+from pointcutmix.ingest import (
+    ParseError,
+    farthest_point_sample,
+    parse_off,
+    parse_ply,
+    parse_xyz,
+    write_ply,
+    write_xyz,
+)
 
 from conftest import FIXTURES
 from oracles import (
     reference_auction,
     reference_fps,
+    reference_parse_off,
     reference_parse_ply,
+    reference_parse_xyz,
     reference_write_ply,
     reference_write_xyz,
 )
@@ -431,3 +450,183 @@ def parse_outcome(parse, text):
 def test_parse_ply_matches_reference(mutations, data):
     text = data.draw(ply_texts(mutations))
     assert parse_outcome(parse_ply, text) == parse_outcome(reference_parse_ply, text)
+
+
+def first_error_line_or_arrays(parse, text):
+    """Dtype, shape and bytes of each returned array; for a ParseError, the
+    line it names; for any other exception, its type."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc).split(":", 1)[0])
+    except Exception as exc:
+        return (type(exc).__name__,)
+    arrays = (result.points,) if isinstance(result, PointCloud) else (result.vertices, result.faces)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+COMMENTS = ["#", "# made by a tool", "#1 2 3", "  # 3 0 1 2"]
+F32_LIMIT = 2.0**128 - 2.0**103  # the smallest float64 that rounds to float32 inf
+# Both sides of the float32 overflow edge: the first two round to inf, the
+# last two to float32 max.
+FLOAT32_EDGE = [repr(F32_LIMIT), repr(-F32_LIMIT), repr(np.nextafter(F32_LIMIT, 0.0)), "3.40282357e38"]
+
+
+def mutate_rows(draw, rows, mutations, width, tokens, some_rows):
+    """Applies the row mutations shared by XYZ and OFF bodies in place:
+    odd tokens, non-finite values and the float32 overflow edge, extra and
+    ragged fields, exotic separators and trailing comments."""
+    if "odd_tokens" in mutations:
+        for i in some_rows(1):
+            rows[i][draw(st.integers(0, width - 1))] = draw(st.sampled_from(tokens))
+    if "non_finite" in mutations:
+        for i in some_rows(1):
+            rows[i][draw(st.integers(0, width - 1))] = draw(st.sampled_from(NON_FINITE + FLOAT32_EDGE))
+    if "extra_fields" in mutations:
+        extra = draw(st.lists(st.sampled_from(EXTRA_FIELDS), min_size=1, max_size=3))
+        rows[:] = [row + extra for row in rows]
+    if "ragged_fields" in mutations:
+        for i in some_rows(1):
+            rows[i] += draw(st.lists(st.sampled_from(EXTRA_FIELDS), min_size=1, max_size=5))
+    if "separators" in mutations:
+        for i in some_rows(1):
+            if len(rows[i]) > 1:
+                j = draw(st.integers(0, len(rows[i]) - 2))
+                rows[i][j : j + 2] = [rows[i][j] + draw(st.sampled_from(SEPARATORS)) + rows[i][j + 1]]
+    if "comments" in mutations:
+        for i in some_rows(1):
+            rows[i] += [draw(st.sampled_from(COMMENTS))]
+
+
+def join_lines(draw, lines, mutations, keep=0):
+    """The lines as text after the line mutations shared by XYZ and OFF:
+    blank and # comment lines inserted anywhere, tabs, CR or CRLF line
+    ends, and truncation after the first keep lines; as str or UTF-8 bytes."""
+    lines = [list(line) for line in lines]
+    for name, pool in (("blank_lines", BLANKS), ("comments", COMMENTS)):
+        if name in mutations:
+            for _ in range(draw(st.integers(1, 3))):
+                lines.insert(draw(st.integers(0, len(lines))), [draw(st.sampled_from(pool))])
+    sep, eol = " ", "\n"
+    if "tabs" in mutations:
+        sep = draw(st.sampled_from(["\t", " \t", "  ", "\t\t"]))
+        for i in draw(st.lists(st.integers(0, max(0, len(lines) - 1)), max_size=3)) if lines else []:
+            lines[i] = [draw(st.sampled_from(["", " "]))] + lines[i] + [draw(st.sampled_from(["", "\t"]))]
+    if "crlf" in mutations:
+        eol = draw(st.sampled_from(["\r\n", "\r"]))
+    text = eol.join(sep.join(line) for line in lines) + eol
+    if "truncated" in mutations:
+        offset = len(eol.join(sep.join(line) for line in lines[:keep]))
+        text = text[: draw(st.integers(offset, max(offset, len(text) - 1)))]
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+def row_picker(draw, rows):
+    def some_rows(min_size=0):
+        if not rows:
+            return []
+        return draw(st.lists(st.integers(0, len(rows) - 1), min_size=min_size, max_size=3))
+
+    return some_rows
+
+
+XYZ_MUTATIONS = ["blank_lines", "comments", "crlf", "tabs", "extra_fields", "ragged_fields",
+                 "separators", "odd_tokens", "non_finite", "truncated", "surplus_rows"]
+
+
+@st.composite
+def xyz_texts(draw, mutations):
+    """write_xyz text of a cloud with the named mutations applied."""
+    points = draw(hnp.arrays(np.float32, (draw(st.integers(0, 25)), 3), elements=float32s(finite=False)))
+    rows = [line.split(" ") for line in write_xyz(PointCloud(points)).split("\n")[:-1]]
+    if not len(points):
+        rows = []  # write_xyz of no points is one empty line
+    some_rows = row_picker(draw, rows)
+    mutate_rows(draw, rows, mutations, 3, ODD_TOKENS, some_rows)
+    if "surplus_rows" in mutations:
+        rows += [list(rows[i]) for i in some_rows(1)]
+    return join_lines(draw, rows, mutations)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("mutations", [[]] + [[m] for m in XYZ_MUTATIONS] + [XYZ_MUTATIONS],
+                         ids=["none"] + XYZ_MUTATIONS + ["all"])
+@PROPERTY
+@given(data=st.data())
+def test_parse_xyz_matches_reference(mutations, data):
+    text = data.draw(xyz_texts(mutations))
+    assert first_error_line_or_arrays(parse_xyz, text) == first_error_line_or_arrays(reference_parse_xyz, text)
+
+
+# Face-row vocabulary: integer spellings int() accepts and np.loadtxt does
+# not (or the reverse), and indices outside the vertices or past int64.
+FACE_TOKENS = ["1.0", "1_0", "+1", "-0", "007", "\u0661", str(2**63), str(-(2**63) - 1), "1e0", "x"]
+TRAILING = ["garbage", "3 0 1", "nan nan nan", "4 0 1 2 3", "#", "OFF"]
+OFF_MUTATIONS = ["blank_lines", "comments", "crlf", "tabs", "extra_fields", "ragged_fields",
+                 "separators", "odd_tokens", "non_finite", "truncated", "surplus_rows",
+                 "fused_header", "counts", "quads", "arity", "short_faces", "face_tokens",
+                 "bad_indices", "trailing"]
+
+
+@st.composite
+def off_texts(draw, mutations):
+    """OFF text written as perfbench/gen.py writes meshes (9-digit vertex
+    rows, then "3 a b c" rows), with the named mutations applied. Declared
+    counts stay within a few rows of the body."""
+    vertices = draw(hnp.arrays(np.float32, (draw(st.integers(0, 12)), 3), elements=float32s(finite=True)))
+    n_v = len(vertices)
+    index = st.integers(0, max(0, n_v - 1))
+    faces = [[3] + draw(st.lists(index, min_size=3, max_size=3)) for _ in range(draw(st.integers(0, 12)) if n_v else 0)]
+    v_rows = [[format(float(x), ".9g") for x in row] for row in vertices]
+    f_rows = [[str(i) for i in face] for face in faces]
+    some_v, some_f = row_picker(draw, v_rows), row_picker(draw, f_rows)
+
+    if "quads" in mutations:  # some rows or every row
+        for i in range(len(f_rows)) if draw(st.booleans()) else some_f(1):
+            f_rows[i] = ["4"] + f_rows[i][1:] + [str(draw(index))]
+    if "arity" in mutations:
+        for i in some_f(1):
+            arity = draw(st.sampled_from([0, 1, 2, 5, -1, 3, 4]))
+            f_rows[i] = [str(arity)] + [str(draw(index)) for _ in range(draw(st.integers(0, 6)))]
+    if "short_faces" in mutations:
+        for i in some_f(1):
+            f_rows[i] = f_rows[i][: draw(st.integers(1, max(1, len(f_rows[i]) - 1)))]
+    if "face_tokens" in mutations:
+        for i in some_f(1):
+            f_rows[i][draw(st.integers(0, len(f_rows[i]) - 1))] = draw(st.sampled_from(FACE_TOKENS))
+    if "bad_indices" in mutations:
+        for i in some_f(1):
+            bad = draw(st.sampled_from([-1, n_v, n_v + 5, -n_v - 1]))
+            k = draw(st.integers(1, max(1, len(f_rows[i]) - 1)))
+            f_rows[i][k : k + 1] = [str(bad)]
+    mutate_rows(draw, v_rows, mutations, 3, ODD_TOKENS, some_v)
+    for name in ("extra_fields", "ragged_fields", "separators", "comments"):
+        if name in mutations:
+            mutate_rows(draw, f_rows, [name], 4, FACE_TOKENS, some_f)
+    if "surplus_rows" in mutations:
+        v_rows += [list(v_rows[i]) for i in some_v(1)]
+        f_rows += [list(f_rows[i]) for i in some_f(1)]
+
+    counts = [len(vertices), len(faces), 0]
+    if "counts" in mutations:
+        counts = [max(-1, c + draw(st.integers(-2, 2))) for c in counts[:2]] + [0]
+        counts = counts[: draw(st.sampled_from([2, 3, 3, 3]))]
+    counts = " ".join(map(str, counts))
+    header = [["OFF"], [counts]]
+    if "fused_header" in mutations:
+        header = [[draw(st.sampled_from(["OFF", "OFF "])) + counts]]
+    trailing = []
+    if "trailing" in mutations:
+        trailing = [[t] for t in draw(st.lists(st.sampled_from(TRAILING), min_size=1, max_size=3))]
+    return join_lines(draw, header + v_rows + f_rows + trailing, mutations, keep=len(header) - 1)
+
+
+@pytest.mark.parametrize("mutations", [[]] + [[m] for m in OFF_MUTATIONS] + [OFF_MUTATIONS],
+                         ids=["none"] + OFF_MUTATIONS + ["all"])
+@PROPERTY
+@given(data=st.data())
+def test_parse_off_matches_reference(mutations, data):
+    text = data.draw(off_texts(mutations))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert first_error_line_or_arrays(parse_off, text) == first_error_line_or_arrays(reference_parse_off, text)
