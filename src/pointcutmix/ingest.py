@@ -6,6 +6,7 @@ farthest point sampling; size equalization; unit-sphere normalization.
 
 Parse errors carry 1-based line numbers. The PLY writer emits 9 significant
 digits so 32-bit coordinates survive a write/parse round trip bit for bit.
+Rows of all three go to np.loadtxt where it can decide, else to a line scan.
 """
 
 from __future__ import annotations
@@ -65,91 +66,8 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
-def _content_lines(text: str):
-    """(line_number, stripped_line) pairs, skipping blanks and # comments."""
-    for num, raw in enumerate(_split_lines(text), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield num, line
-
-
-def _floats(fields, count, num):
-    try:
-        values = [float(f) for f in fields[:count]]
-    except ValueError:
-        raise ParseError(f"line {num}: expected numeric fields, got {fields[:count]}") from None
-    if len(values) < count:
-        raise ParseError(f"line {num}: expected {count} numeric fields, found {len(fields)}")
-    return values
-
-
-def parse_off(text) -> TriangleMesh:
-    """Parse an ASCII OFF mesh. Accepts the fused first-line variant where
-    the counts share the header line; quad faces are split fan-wise into
-    two triangles."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-    lines = _content_lines(text)
-    last_num = 0
-
-    def next_line(what):
-        nonlocal last_num
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"line {last_num + 1}: unexpected end of file, expected {what}") from None
-        last_num = num
-        return num, line
-
-    num, line = next_line("OFF header")
-    if line == "OFF":
-        num, line = next_line("counts line")
-        counts_fields = line.split()
-    elif line.startswith("OFF"):
-        counts_fields = line[3:].split()
-    else:
-        raise ParseError(f"line {num}: expected OFF header, got {line.split()[0]!r}")
-    if len(counts_fields) < 3:
-        raise ParseError(f"line {num}: expected vertex/face/edge counts")
-    try:
-        n_vertices, n_faces = int(counts_fields[0]), int(counts_fields[1])
-    except ValueError:
-        raise ParseError(f"line {num}: counts must be integers, got {counts_fields[:3]}") from None
-    if n_vertices < 0 or n_faces < 0:
-        raise ParseError(f"line {num}: counts must be non-negative")
-
-    vertices = []  # collected as read: a huge declared count allocates nothing
-    for i in range(n_vertices):
-        num, line = next_line(f"vertex line {i + 1} of {n_vertices}")
-        vertices.append(_floats(line.split(), 3, num))
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.float32(vertices[-1])).all():
-                raise ParseError(f"line {num}: non-finite vertex coordinate")
-
-    triangles = []
-    for i in range(n_faces):
-        num, line = next_line(f"face line {i + 1} of {n_faces}")
-        fields = line.split()
-        try:
-            arity = int(fields[0])
-            indices = [int(f) for f in fields[1 : 1 + arity]]
-        except ValueError:
-            raise ParseError(f"line {num}: face fields must be integers") from None
-        if arity < 3 or arity > 4:
-            raise ParseError(f"line {num}: unsupported face arity {arity} (triangles and quads only)")
-        if len(indices) < arity:
-            raise ParseError(f"line {num}: face lists {len(indices)} of {arity} vertex indices")
-        if not all(0 <= j < n_vertices for j in indices):
-            raise ParseError(f"line {num}: face references a vertex index out of range")
-        triangles.append(indices[:3])
-        if arity == 4:
-            triangles.append([indices[0], indices[2], indices[3]])
-
-    vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    return TriangleMesh(vertices, np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
-
-
 _INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103  # float64 magnitudes below it round to a finite float32
 
 # Control characters that str.split() takes for whitespace: a body holding
 # one is left to the line scan rather than trusted to np.loadtxt.
@@ -166,9 +84,10 @@ def _element_count(field: str, num: int) -> int:
     return count
 
 
-def _read_rows_fast(body: list[str], n_rows: int, n_cols: int) -> Optional[np.ndarray]:
-    """The first n_cols fields of every non-blank body line as float64 rows,
-    read by np.loadtxt, or None when the line scan must decide.
+def _read_rows_fast(body: list[str], n_rows: Optional[int], n_cols: int, dtype=np.float64):
+    """The first n_cols fields of every non-blank body line as rows of dtype,
+    read by np.loadtxt, or None when the line scan must decide (n_rows None
+    takes any number of rows).
 
     On ASCII text without the characters above, loadtxt splits lines and
     fields exactly as str.split() does and parses each field with the same
@@ -176,28 +95,34 @@ def _read_rows_fast(body: list[str], n_rows: int, n_cols: int) -> Optional[np.nd
     scan's result bit for bit. It rejects what float() also accepts
     (underscores, non-ASCII digits), and a wrong row or field count is the
     scan's error to report, with its line number: all of these return None.
+    As int64 it accepts a subset of what int() accepts, with the same values.
     """
     joined = "".join(body)
     if not joined.isascii() or not joined.strip() or any(c in joined for c in _SCAN_ONLY_CHARS):
         return None  # an all-blank body would also make loadtxt warn
     try:
-        rows = np.loadtxt(body, dtype=np.float64, comments=None, usecols=range(n_cols), ndmin=2)
+        rows = np.loadtxt(body, dtype=dtype, comments=None, usecols=range(n_cols), ndmin=2)
     except ValueError:
         return None
-    return rows if len(rows) == n_rows else None
+    return rows if n_rows is None or len(rows) == n_rows else None
 
 
-def _scan_rows(lines: list[str], start: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, list[int]]:
+def _scan_rows(lines: list[str], start: int, n_rows: Optional[int], n_cols: int,
+               *, comments=False, stop=False, finite32=False) -> tuple[np.ndarray, list[int]]:
     """The body rows read one line at a time, with each row's 1-based line
     number; raises a ParseError naming the first offending line. Rows are
     collected as read, so a declared count far beyond the body allocates
-    nothing."""
+    nothing; n_rows None reads every row. comments skips # lines, stop ends
+    at the count (naming a missing row on the line after the last one), and
+    finite32 rejects values that are not finite as float32."""
     rows, row_lines = [], []
     for idx in range(start, len(lines)):
         line = lines[idx].strip()
-        if not line:
+        if not line or comments and line[0] == "#":
             continue
         if len(rows) == n_rows:
+            if stop:
+                break
             raise ParseError(f"line {idx + 1}: more data rows than declared vertices")
         fields = line.split()
         if len(fields) < n_cols:
@@ -206,10 +131,77 @@ def _scan_rows(lines: list[str], start: int, n_rows: int, n_cols: int) -> tuple[
             rows.append([float(f) for f in fields[:n_cols]])
         except ValueError:
             raise ParseError(f"line {idx + 1}: non-numeric field") from None
+        if finite32 and not all(abs(v) < _FLOAT32_LIMIT for v in rows[-1]):
+            raise ParseError(f"line {idx + 1}: non-finite vertex coordinate")
         row_lines.append(idx + 1)
-    if len(rows) != n_rows:
-        raise ParseError(f"line {len(lines)}: expected {n_rows} vertex rows, found {len(rows)}")
-    return np.array(rows, dtype=np.float64).reshape(n_rows, n_cols), row_lines
+    if n_rows is not None and len(rows) != n_rows:
+        num = (row_lines[-1] if row_lines else start) + 1 if stop else len(lines)
+        raise ParseError(f"line {num}: expected {n_rows} vertex rows, found {len(rows)}")
+    return np.array(rows, dtype=np.float64).reshape(-1, n_cols), row_lines
+
+
+def _next_content(lines: list[str], idx: int, what: str) -> int:
+    """Index of the first line from lines[idx] on that is neither blank nor a # comment."""
+    for i in range(idx, len(lines)):
+        if lines[i].strip()[:1] not in ("", "#"):
+            return i
+    raise ParseError(f"line {idx + 1}: unexpected end of file, expected {what}")
+
+
+def parse_off(text) -> TriangleMesh:
+    """Parse an ASCII OFF mesh. Accepts the fused first-line variant where
+    the counts share the header line; quad faces are split fan-wise into
+    two triangles."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
+    lines = _split_lines(text)
+    idx = _next_content(lines, 0, "OFF header")
+    line = lines[idx].strip()
+    if line == "OFF":
+        idx = _next_content(lines, idx + 1, "counts line")
+        counts_fields = lines[idx].split()
+    elif line.startswith("OFF"):
+        counts_fields = line[3:].split()
+    else:
+        raise ParseError(f"line {idx + 1}: expected OFF header, got {line.split()[0]!r}")
+    num = idx + 1
+    if len(counts_fields) < 3:
+        raise ParseError(f"line {num}: expected vertex/face/edge counts")
+    try:
+        n_vertices, n_faces = int(counts_fields[0]), int(counts_fields[1])
+    except ValueError:
+        raise ParseError(f"line {num}: counts must be integers, got {counts_fields[:3]}") from None
+    if n_vertices < 0 or n_faces < 0:
+        raise ParseError(f"line {num}: counts must be non-negative")
+
+    # loadtxt reads exactly the next n lines of a block, so a blank or #
+    # line fails it or leaves it short; it decides only valid blocks.
+    vertices, end = _read_rows_fast(lines[num : num + n_vertices], n_vertices, 3), num + n_vertices
+    if vertices is None or not (np.abs(vertices) < _FLOAT32_LIMIT).all():
+        vertices, row_lines = _scan_rows(lines, num, n_vertices, 3, comments=True, stop=True, finite32=True)
+        end = row_lines[-1] if row_lines else num
+    rows = _read_rows_fast(lines[end : end + n_faces], n_faces, 4, np.int64)
+    if rows is not None and rows.min() >= 0 and rows[:, 1:].max() < n_vertices and (rows[:, 0] == 3).all():
+        return TriangleMesh(vertices, rows[:, 1:])
+    triangles, num = [], end  # any other face block: one line at a time, quads split fan-wise
+    for i in range(n_faces):
+        num = _next_content(lines, num, f"face line {i + 1} of {n_faces}") + 1
+        fields = lines[num - 1].split()
+        try:
+            arity = int(fields[0])
+            indices = [int(f) for f in fields[1 : 1 + arity]]
+        except ValueError:
+            raise ParseError(f"line {num}: face fields must be integers") from None
+        if arity < 3 or arity > 4:
+            raise ParseError(f"line {num}: unsupported face arity {arity} (triangles and quads only)")
+        if len(indices) < arity:
+            raise ParseError(f"line {num}: face lists {len(indices)} of {arity} vertex indices")
+        if not all(0 <= j < n_vertices for j in indices):
+            raise ParseError(f"line {num}: face references a vertex index out of range")
+        triangles.append(indices[:3])
+        if arity == 4:
+            triangles.append([indices[0], indices[2], indices[3]])
+    return TriangleMesh(vertices, np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
 def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:
@@ -339,13 +331,11 @@ def parse_xyz(text) -> PointCloud:
     are ignored, blank and # comment lines are skipped."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    points = []
-    for num, line in _content_lines(text):
-        fields = line.split()
-        if len(fields) < 3:
-            raise ParseError(f"line {num}: expected at least 3 fields, found {len(fields)}")
-        points.append(_floats(fields, 3, num))
-    return PointCloud(np.asarray(points, dtype=np.float64).reshape(-1, 3).astype(np.float32))
+    lines = _split_lines(text)
+    rows = _read_rows_fast(lines, None, 3)
+    if rows is None:
+        rows, _ = _scan_rows(lines, 0, None, 3, comments=True)
+    return PointCloud(rows.astype(np.float32))
 
 
 def write_xyz(cloud: PointCloud) -> str:
