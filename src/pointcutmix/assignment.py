@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Assignment, PointCloud
+from .core import Assignment, PointCloud, squared_distances
 from .ingest import farthest_point_sample
 
 # Above this size the auction solver recomputes cost rows on demand
@@ -82,23 +82,14 @@ _WARM_EPSILON_DIVISOR = 64.0
 def _distance_blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Fill out with the Euclidean distances between the rows of a and of b
     (float64), one cache-sized row block at a time, yielding each block as
-    soon as it is final.
-
-    The bits are those of scipy's cdist: per pair sqrt((dx*dx + dy*dy) +
-    dz*dz), each operation rounded once in float64.
-    """
+    soon as it is final: the square roots of squared_distances(), which are
+    scipy's cdist bit for bit."""
     columns = np.ascontiguousarray(b.T)
     rows = max(1, _BLOCK_ELEMENTS // max(1, len(b)))
     scratch = np.empty((min(rows, len(a)), len(b)))
     for lo in range(0, len(a), rows):
         block, here = out[lo : lo + rows], a[lo : lo + rows]
-        term = scratch[: len(block)]
-        np.subtract(here[:, :1], columns[0], out=block)
-        np.multiply(block, block, out=block)
-        for k in range(1, len(columns)):
-            np.subtract(here[:, k : k + 1], columns[k], out=term)
-            np.multiply(term, term, out=term)
-            block += term
+        squared_distances(here.T[:, :, None], columns, block, scratch[: len(block)])
         np.sqrt(block, out=block)
         yield block
 
@@ -155,10 +146,6 @@ def cost_matrix(x1: PointCloud, x2: PointCloud) -> np.ndarray:
     return _distances(x1.points.astype(np.float64), x2.points.astype(np.float64))
 
 
-def _total_cost(c: np.ndarray, mapping: np.ndarray) -> float:
-    return float(c[np.arange(c.shape[0]), mapping].sum())
-
-
 def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     """Minimum-cost bijection, solved exactly.
 
@@ -167,9 +154,9 @@ def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     """
     from scipy.optimize import linear_sum_assignment
 
-    c = cost_matrix(x1, x2)
-    _, mapping = linear_sum_assignment(c)
-    return Assignment(mapping.astype(np.int64), _total_cost(c, mapping), True)
+    _, mapping = linear_sum_assignment(cost_matrix(x1, x2))
+    total = np.linalg.norm(x1.points.astype(np.float64) - x2.points[mapping], axis=1).sum()
+    return Assignment(mapping, float(total), True)
 
 
 def solve_auction(

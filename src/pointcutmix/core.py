@@ -2,9 +2,9 @@
 
 All types are immutable after construction and safe to share across
 threads or processes. Point coordinates are stored as 32-bit floats
-(the precision shipped by common shape datasets); numeric work that is
-sensitive to rounding (assignment costs, label weights) is done in
-64-bit by the consuming modules.
+(the precision shipped by common shape datasets); rounding-sensitive work
+is done in 64-bit, and squared_distances() fixes the bits of every FPS
+pick, kNN order, assignment cost and unit-sphere radius.
 """
 
 from __future__ import annotations
@@ -42,6 +42,21 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def squared_distances(point, columns, out, term):
+    """Squared Euclidean distances from point to each column of columns, the
+    contiguous (3, n) float64 transpose of a cloud or a tuple of its rows,
+    written to out as ((dx*dx + dy*dy) + dz*dz), each operation rounded once
+    in float64 as in scipy's cdist. point is three scalars, for out of shape
+    (n,), or three (k, 1) columns, for (k, n); term is scratch shaped as out."""
+    np.subtract(columns[0], point[0], out=out)
+    np.multiply(out, out, out=out)
+    for axis in (1, 2):
+        np.subtract(columns[axis], point[axis], out=term)
+        np.multiply(term, term, out=term)
+        np.add(out, term, out=out)
+    return out
 
 
 def validate_cloud(cloud: PointCloud) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PartLabels, PointCloud, SaliencyWeights
+from .core import PartLabels, PointCloud, SaliencyWeights, squared_distances
 from .rng import RngStream
 
 
@@ -371,22 +371,17 @@ def farthest_point_sample(cloud: PointCloud, n: int, start_index: int) -> np.nda
         raise ValueError(f"sample count must be in [1, {n_total}], got {n}")
     if not 0 <= start_index < n_total:
         raise IndexError(f"start index {start_index} out of range for {n_total} points")
-    # One contiguous float64 column per axis, and distances accumulated in
-    # place in x, y, z order: the order ((p - q) ** 2).sum(axis=1) adds in,
-    # so every distance, and with it every pick and tie, is bitwise the same.
-    x, y, z = np.ascontiguousarray(cloud.points.T, dtype=np.float64)
+    # squared_distances() gets the pick as a list of floats and the columns
+    # as a tuple of rows, which it indexes in a fraction of an array's time.
+    columns = np.ascontiguousarray(cloud.points.T, dtype=np.float64)
+    rows = tuple(columns)
     d2 = np.empty(n_total)
     term = np.empty(n_total)
     d2min = np.full(n_total, np.inf)
     picked = np.empty(n, dtype=np.int64)
     pick = picked[0] = start_index
     for i in range(1, n):
-        np.subtract(x, x[pick], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for column in (y, z):
-            np.subtract(column, column[pick], out=term)
-            np.multiply(term, term, out=term)
-            np.add(d2, term, out=d2)
+        squared_distances(columns[:, pick].tolist(), rows, d2, term)
         np.minimum(d2min, d2, out=d2min)
         d2min[pick] = -1.0  # sentinel: picked points never win the argmax
         pick = picked[i] = int(d2min.argmax())
@@ -417,8 +412,9 @@ def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     if len(cloud) == 0:
         raise ValueError("cannot normalize an empty cloud")
     pts = cloud.points.astype(np.float64)
-    centered = pts - pts.mean(axis=0)
-    radius = float(np.sqrt((centered * centered).sum(axis=1).max()))
+    centroid = pts.mean(axis=0)
+    d2 = squared_distances(centroid, np.ascontiguousarray(pts.T), np.empty(len(pts)), np.empty(len(pts)))
+    radius = float(np.sqrt(d2.max()))
     if radius <= 0.0:
         raise ValueError("cannot normalize a degenerate cloud (all points identical)")
-    return PointCloud((centered / radius).astype(np.float32))
+    return PointCloud(((pts - centroid) / radius).astype(np.float32))

@@ -66,7 +66,7 @@ def test_solve_exact_matches_brute_force_on_random_instances():
             b = random_cloud(rng, n)
             mapping, total = brute_force_assignment(a.points, b.points)
             result = solve_exact(a, b)
-            assert result.total_cost == pytest.approx(total, rel=1e-12)
+            assert result.total_cost == total  # bit for bit
             assert list(result.mapping) == list(mapping)
 
 

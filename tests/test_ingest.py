@@ -19,10 +19,11 @@ from pointcutmix.ingest import (
     write_ply,
     write_xyz,
 )
+from pointcutmix.neighbors import build_index
 from pointcutmix.rng import make_stream
 
 from conftest import random_cloud
-from oracles import reference_fps
+from oracles import linear_scan_knn, reference_fps
 
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
 
@@ -494,11 +495,12 @@ def test_fps_matches_oracle():
     assert np.array_equal(got, reference_fps(cloud.points, 16, 7))
 
 
-def test_fps_sums_squares_in_axis_order():
+@pytest.mark.parametrize("method", ["fps", "knn"])
+def test_fps_sums_squares_in_axis_order(method):
     # Axis permutations of one triple lie at the same exact distance from the
     # origin. The triples are picked so the float64 sum of the squared terms
-    # depends on their order, which the row-wise oracle fixes as x, y, z; any
-    # other order ranks the permutations differently.
+    # depends on their order, which the row-wise oracles fix as x, y, z; any
+    # other order ranks the permutations differently, in FPS and in kNN.
     rng = np.random.default_rng(5)
     triples = []
     while len(triples) < 8:
@@ -508,8 +510,11 @@ def test_fps_sums_squares_in_axis_order():
             triples.append(t)
     rows = [[0.0, 0.0, 0.0]] + [p for t in triples for p in itertools.permutations(t)]
     pts = np.array(rows, dtype=np.float32)
-    picks = farthest_point_sample(PointCloud(pts), len(pts), 0)
-    assert np.array_equal(picks, reference_fps(pts, len(pts), 0))
+    if method == "fps":
+        got, expected = farthest_point_sample(PointCloud(pts), len(pts), 0), reference_fps(pts, len(pts), 0)
+    else:
+        got, expected = build_index(PointCloud(pts)).knn(0, len(pts)), linear_scan_knn(pts, 0, len(pts))
+    assert np.array_equal(got, expected)
 
 
 def test_fps_tie_goes_to_smaller_index():
