@@ -140,6 +140,15 @@ def _scan_rows(lines: list[str], start: int, n_rows: Optional[int], n_cols: int,
     return np.array(rows, dtype=np.float64).reshape(-1, n_cols), row_lines
 
 
+def _reject_non_finite32(values: np.ndarray, names, line_of) -> None:
+    """Raise a ParseError at the first value (row-major) that is not finite
+    as float32, nan included, naming its line, line_of(row), and column."""
+    magnitude = np.abs(values)
+    if not magnitude.max(initial=0.0) < _FLOAT32_LIMIT:
+        i, j = np.argwhere(~(magnitude < _FLOAT32_LIMIT))[0]
+        raise ParseError(f"line {line_of(i)}: {names[j]} {float(values[i, j])!r} is not finite as float32")
+
+
 def _next_content(lines: list[str], idx: int, what: str) -> int:
     """Index of the first line from lines[idx] on that is neither blank nor a # comment."""
     for i in range(idx, len(lines)):
@@ -267,20 +276,21 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
     row_lines = None
     if rows is None:
         rows, row_lines = _scan_rows(lines, body_start, n_vertices, len(properties))
+
+    def line_of(row):  # a body read by loadtxt is scanned again for its line numbers
+        return (row_lines or _scan_rows(lines, body_start, n_vertices, len(properties))[1])[row]
+
     if "label" in columns:
         label = rows[:, columns["label"]]
         in_range = (label >= _INT32_MIN) & (label <= _INT32_MAX)  # False for nan
         bad = np.flatnonzero(~(in_range & (label == np.trunc(label))))
         if bad.size:
-            if row_lines is None:
-                _, row_lines = _scan_rows(lines, body_start, n_vertices, len(properties))
-            raise ParseError(
-                f"line {row_lines[bad[0]]}: label {float(label[bad[0]])!r} is not an int32 integer"
-            )
+            raise ParseError(f"line {line_of(bad[0])}: label {float(label[bad[0]])!r} is not an int32 integer")
+    names = ["x", "y", "z"] + ["saliency"] * ("saliency" in columns)
+    values = rows[:, [columns[name] for name in names]]
+    _reject_non_finite32(values, names, line_of)
 
-    cloud = PointCloud(
-        rows[:, [columns["x"], columns["y"], columns["z"]]].astype(np.float32)
-    )
+    cloud = PointCloud(values[:, :3].astype(np.float32))
     labels = None
     if "label" in columns:
         labels = PartLabels(rows[:, columns["label"]].astype(np.int32))
@@ -335,6 +345,7 @@ def parse_xyz(text) -> PointCloud:
     rows = _read_rows_fast(lines, None, 3)
     if rows is None:
         rows, _ = _scan_rows(lines, 0, None, 3, comments=True)
+    _reject_non_finite32(rows, "xyz", lambda row: _scan_rows(lines, 0, None, 3, comments=True)[1][row])
     return PointCloud(rows.astype(np.float32))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,16 @@ def test_augment_skips_sources_that_cannot_be_normalized(tmp_path):
         "mesh surface area is zero (all triangles degenerate)",
         "cloud has fewer than two distinct points",
     ]
+
+
+def test_augment_skips_xyz_with_non_finite_coordinate_naming_line(tmp_path):
+    data = write_dataset(tmp_path / "data")
+    far = data / "table" / "far.xyz"
+    far.write_text("0 0 0\n1e39 0 0\n0 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        skipped = assert_same_run_without(tmp_path, data, [far], ["table/far.xyz"])
+    assert skipped[0]["error"].startswith("line 2: ")
 
 
 def test_augment_gate_accounting_matches_streams(tmp_path):

@@ -327,6 +327,22 @@ def test_ply_rejects_label_outside_int32(body_reads, value):
             parse_ply(text)
 
 
+@pytest.mark.parametrize("value", ["1e39", "-1e39", "nan", "inf", "1e500"])
+def test_ply_non_finite_coordinate_names_line(body_reads, value):
+    """Checked as float32, before the cast, which would warn and give inf."""
+    text = LABELED_HEADER.replace("property int label\n", "").format(n=3) + f"0 0 0\n1 0 0\n0 {value} 0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"^line 10: y .* is not finite as float32$"):
+            parse_ply(text)
+
+
+def test_ply_non_finite_saliency_names_line(body_reads):
+    text = LABELED_HEADER.replace("int label", "float saliency").format(n=2) + "0 0 0 0.5\n0 0 1 nan\n"
+    with pytest.raises(ParseError, match="^line 10: saliency nan is not finite as float32$"):
+        parse_ply(text)
+
+
 def test_ply_accepts_int32_labels_in_any_float_spelling(body_reads):
     text = LABELED_HEADER.format(n=4) + "0 0 0 2147483647\n0 0 1 -2147483648\n0 1 0 1e3\n1 0 0 -0.0\n"
     _, labels, _ = parse_ply(text)
@@ -384,6 +400,14 @@ def test_parse_xyz_basic():
 def test_parse_xyz_short_line_names_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_xyz("0 0 0\n1 2\n")
+
+
+@pytest.mark.parametrize("value", ["1e39", "nan", "-inf"])
+def test_parse_xyz_non_finite_coordinate_names_line(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_xyz(f"0 0 0\n{value} 0 0\n0 1 0\n")
 
 
 def test_parse_xyz_extra_fields_ignored():
