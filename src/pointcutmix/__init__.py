@@ -7,9 +7,7 @@ alignment, and blends the class labels by the realized keep fraction.
 """
 
 from .assignment import (
-    DEFAULT_CONFIG,
     ConvergenceError,
-    SolverConfig,
     cost_matrix,
     emd,
     optimal_assignment,
@@ -60,7 +58,6 @@ __all__ = [
     "Assignment",
     "AugmentPolicy",
     "ConvergenceError",
-    "DEFAULT_CONFIG",
     "LabelDistribution",
     "MixParams",
     "MixedSample",
@@ -69,7 +66,6 @@ __all__ = [
     "PointCloud",
     "ReplacementMask",
     "SaliencyWeights",
-    "SolverConfig",
     "TriangleMesh",
     "apply_mix",
     "apply_mix_segmentation",

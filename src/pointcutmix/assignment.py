@@ -3,7 +3,7 @@
 The ground cost is the unsquared Euclidean distance. Small instances are
 solved exactly by a shortest-augmenting-path assignment solver; larger
 ones by an epsilon-scaling auction whose final prices certify that the
-returned cost exceeds the optimum by at most N * epsilon_final.
+returned cost exceeds the optimum by at most N * EPSILON_FINAL.
 
 The auction keeps, per bidder, an exact cache of its top items (Bertsekas'
 "third-best" bookkeeping, generalized to m items): their columns, their
@@ -32,7 +32,7 @@ full auction opens from those prices at epsilon max_cost / 64 rather than
 max_cost / 4. The certificate does not depend on the start: each phase ends
 with a complete assignment in epsilon-complementary slackness with its
 prices, whatever prices it began from, so the final phase still certifies
-cost <= optimum + N * epsilon_final (Bertsekas 1988, "The auction
+cost <= optimum + N * EPSILON_FINAL (Bertsekas 1988, "The auction
 algorithm: a distributed relaxation method"). Near-optimal start prices
 only make the wide, large-epsilon phases unnecessary. solve_auction() is
 the cold auction alone.
@@ -45,12 +45,22 @@ Solvers are pure functions: concurrent solves on distinct inputs are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .core import Assignment, PointCloud, squared_distances
 from .ingest import farthest_point_sample
+
+# Largest N routed to the exact solver.
+EXACT_THRESHOLD = 256
+
+# Per-point price precision of the auction: its final epsilon.
+EPSILON_FINAL = 1e-4
+
+# The auction's budget in individual bids.
+MAX_BIDS = 10_000_000
+
+# Each epsilon phase of the auction divides epsilon by this factor.
+_EPSILON_SCALING = 4.0
 
 # Above this size the auction solver recomputes cost rows on demand
 # instead of materializing the full N x N matrix.
@@ -109,29 +119,8 @@ def _cache_width(n: int) -> int:
 
 
 class ConvergenceError(RuntimeError):
-    """Auction exceeded its bid budget; input is pathological for the
-    configured epsilon (caller may retry with a looser epsilon_final)."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    exact_threshold: int = 256  # largest N routed to the exact solver
-    epsilon_final: float = 1e-4  # per-point price precision of the auction
-    epsilon_scaling_factor: float = 4.0
-    max_auction_rounds: int = 10_000_000  # budget in individual bid operations
-
-    def __post_init__(self):
-        if self.exact_threshold < 1:
-            raise ValueError("exact_threshold must be >= 1")
-        if not self.epsilon_final > 0:
-            raise ValueError("epsilon_final must be > 0")
-        if not self.epsilon_scaling_factor > 1:
-            raise ValueError("epsilon_scaling_factor must be > 1")
-        if self.max_auction_rounds < 1:
-            raise ValueError("max_auction_rounds must be >= 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
+    """Auction exceeded its bid budget of MAX_BIDS; the input is
+    pathological for the final epsilon."""
 
 
 def _require_same_size(x1: PointCloud, x2: PointCloud) -> int:
@@ -149,7 +138,7 @@ def cost_matrix(x1: PointCloud, x2: PointCloud) -> np.ndarray:
 def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     """Minimum-cost bijection, solved exactly.
 
-    O(N^3); intended for N up to the configured exact threshold, though
+    O(N^3); intended for N up to EXACT_THRESHOLD, though
     nothing but patience caps it.
     """
     from scipy.optimize import linear_sum_assignment
@@ -159,15 +148,13 @@ def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     return Assignment(mapping, float(total), True)
 
 
-def solve_auction(
-    x1: PointCloud, x2: PointCloud, config: SolverConfig = DEFAULT_CONFIG
-) -> Assignment:
+def solve_auction(x1: PointCloud, x2: PointCloud) -> Assignment:
     """Approximate minimum-cost bijection via an epsilon-scaling auction.
 
     Terminates with a complete assignment satisfying epsilon-complementary
     slackness at the final epsilon, so the returned total cost is within
-    N * config.epsilon_final of the exact optimum. Deterministic for fixed
-    inputs and config.
+    N * EPSILON_FINAL of the exact optimum. Deterministic for fixed
+    inputs.
 
     Bids read each bidder's top-m cache (see the module docstring), which
     persists across epsilon phases; only bids it cannot decide read the
@@ -189,13 +176,14 @@ def solve_auction(
     b = x2.points.astype(np.float64)
     if n == 1:
         return Assignment(np.zeros(1, dtype=np.int64), float(np.linalg.norm(a[0] - b[0])), False)
-    return _auction(a, b, config, np.zeros(n), 4.0, 0)[0]
+    return _auction(a, b, np.zeros(n), 4.0, EPSILON_FINAL, 0)[0]
 
 
-def _auction(a, b, config, prices, eps_divisor, bids_used):
+def _auction(a, b, prices, eps_divisor, eps_final, bids_used):
     """The auction of solve_auction() on at least two float64 coordinate
     rows, started from prices (updated in place) at epsilon max_cost /
-    eps_divisor, with bids_used bids already spent from the budget. Returns
+    eps_divisor and ended at eps_final, with bids_used bids already spent
+    from the budget. Returns
     the assignment, its final prices and the bids used in all."""
     n = len(a)
     if n <= DENSE_MATRIX_LIMIT:
@@ -304,10 +292,10 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
 
     def over_budget():
         return ConvergenceError(
-            f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
+            f"auction exceeded {MAX_BIDS} bids at epsilon {eps:g}"
         )
 
-    eps = max(max_cost / eps_divisor, config.epsilon_final)
+    eps = max(max_cost / eps_divisor, eps_final)
 
     while True:
         item_of = np.full(n, -1, dtype=np.int64)  # bidder -> item
@@ -316,7 +304,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
         while bidders.size > _SMALL_ROUND:
             u = bidders.size
             bids_used += u
-            if bids_used > config.max_auction_rounds:
+            if bids_used > MAX_BIDS:
                 raise over_budget()
             best_item, increment = bid(bidders)
 
@@ -343,7 +331,7 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
         bidders = bidders.tolist()
         while bidders:
             bids_used += len(bidders)
-            if bids_used > config.max_auction_rounds:
+            if bids_used > MAX_BIDS:
                 raise over_budget()
             kept = {}  # item -> (increment, bidder)
             for bidder in bidders:
@@ -361,15 +349,15 @@ def _auction(a, b, config, prices, eps_divisor, bids_used):
                 item_of[bidder] = j
             bidders = sorted([bidder for bidder in bidders if item_of[bidder] < 0] + displaced)
 
-        if eps <= config.epsilon_final:
+        if eps <= eps_final:
             break
-        eps = max(eps / config.epsilon_scaling_factor, config.epsilon_final)
+        eps = max(eps / _EPSILON_SCALING, eps_final)
 
     total = float(np.linalg.norm(a - b[item_of], axis=1).sum())
     return Assignment(item_of, total, False), prices, bids_used
 
 
-def _warm_auction(x1: PointCloud, x2: PointCloud, config: SolverConfig):
+def _warm_auction(x1: PointCloud, x2: PointCloud):
     """The auction started from prices lifted from a coarse solve (see the
     module docstring); returns what _auction() does, coarse bids counted."""
     n = _require_same_size(x1, x2)
@@ -378,8 +366,8 @@ def _warm_auction(x1: PointCloud, x2: PointCloud, config: SolverConfig):
     m = max(2, n // _COARSE_FACTOR)
     coarse_a = a[farthest_point_sample(x1, m, 0)]
     coarse_b = b[farthest_point_sample(x2, m, 0)]
-    coarse_config = replace(config, epsilon_final=config.epsilon_final * _COARSE_EPSILON_RATIO)
-    _, coarse_prices, bids = _auction(coarse_a, coarse_b, coarse_config, np.zeros(m), 4.0, 0)
+    coarse_eps = EPSILON_FINAL * _COARSE_EPSILON_RATIO
+    _, coarse_prices, bids = _auction(coarse_a, coarse_b, np.zeros(m), 4.0, coarse_eps, 0)
     # Nearest coarse item, in row blocks that bound the scratch memory.
     rows = max(1, _CHUNK_ELEMENTS // m)
     nearest = np.concatenate(
@@ -387,21 +375,19 @@ def _warm_auction(x1: PointCloud, x2: PointCloud, config: SolverConfig):
     )
     prices = coarse_prices[nearest]
     prices -= prices.min()
-    return _auction(a, b, config, prices, _WARM_EPSILON_DIVISOR, bids)
+    return _auction(a, b, prices, _WARM_EPSILON_DIVISOR, EPSILON_FINAL, bids)
 
 
-def optimal_assignment(
-    x1: PointCloud, x2: PointCloud, config: SolverConfig = DEFAULT_CONFIG
-) -> Assignment:
-    """Entry point used by the mixer: exact up to (and including) the
-    configured threshold, the warm-started auction above it."""
+def optimal_assignment(x1: PointCloud, x2: PointCloud) -> Assignment:
+    """Entry point used by the mixer: exact up to (and including)
+    EXACT_THRESHOLD points, the warm-started auction above it."""
     n = _require_same_size(x1, x2)
-    if n <= config.exact_threshold:
+    if n <= EXACT_THRESHOLD:
         return solve_exact(x1, x2)
-    return _warm_auction(x1, x2, config)[0]
+    return _warm_auction(x1, x2)[0]
 
 
-def emd(x1: PointCloud, x2: PointCloud, config: SolverConfig = DEFAULT_CONFIG) -> float:
+def emd(x1: PointCloud, x2: PointCloud) -> float:
     """Earth Mover's Distance: mean displacement under the optimal assignment."""
-    assignment = optimal_assignment(x1, x2, config)
+    assignment = optimal_assignment(x1, x2)
     return assignment.total_cost / len(assignment)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .assignment import DEFAULT_CONFIG, optimal_assignment
+from .assignment import EXACT_THRESHOLD, optimal_assignment
 from .core import (
     AugmentPolicy,
     MixedSample,
@@ -304,7 +304,7 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if policy.mix_prob > 0.0 and run.num_points <= DEFAULT_CONFIG.exact_threshold:
+        if policy.mix_prob > 0.0 and run.num_points <= EXACT_THRESHOLD:
             # The exact route imports scipy on first use: import it once
             # here, so forked workers share it instead of each importing it.
             import scipy.optimize  # noqa: F401

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import DEFAULT_CONFIG, SolverConfig, optimal_assignment
+from .assignment import optimal_assignment
 from .core import (
     Assignment,
     AugmentPolicy,
@@ -180,7 +180,6 @@ def mix_pair(
     saliency: Optional[SaliencyWeights] = None,
     parts1: Optional[PartLabels] = None,
     parts2: Optional[PartLabels] = None,
-    solver_config: SolverConfig = DEFAULT_CONFIG,
     source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """Mix two clouds at a given ratio: n = floor(lam * N) points of x1
@@ -196,7 +195,7 @@ def mix_pair(
         raise ValueError("part labels must be given for both clouds or neither")
 
     n = int(math.floor(lam * len(x1)))
-    assignment = optimal_assignment(x1, x2, solver_config)
+    assignment = optimal_assignment(x1, x2)
     mask, center = _build_mask(x1, n, mode, rng, saliency)
     params = MixParams(lam=lam, n_kept=mask.n_kept, mode=mode, beta=beta)
     if parts1 is not None:
@@ -221,7 +220,6 @@ def pointcutmix(
     saliency: Optional[SaliencyWeights] = None,
     parts1: Optional[PartLabels] = None,
     parts2: Optional[PartLabels] = None,
-    solver_config: SolverConfig = DEFAULT_CONFIG,
     source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """Full augmentation step: a Bernoulli(mix_prob) gate decides whether to
@@ -240,5 +238,5 @@ def pointcutmix(
     return mix_pair(
         x1, y1, x2, y2, lam, policy.mode, rng,
         beta=policy.beta, saliency=saliency, parts1=parts1, parts2=parts2,
-        solver_config=solver_config, source_ids=source_ids,
+        source_ids=source_ids,
     )

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from pointcutmix.assignment import ConvergenceError, SolverConfig
+from pointcutmix.assignment import ConvergenceError
 from pointcutmix.core import Assignment, PartLabels, PointCloud, SaliencyWeights
 from pointcutmix.ingest import ParseError, TriangleMesh
 
@@ -80,14 +80,15 @@ def reference_fps(points: np.ndarray, n: int, start: int) -> np.ndarray:
 
 
 def reference_auction(
-    x1, x2, config=SolverConfig(), *, dense_limit=4096, chunk_elements=1 << 22
+    x1, x2, *, max_bids=10_000_000, dense_limit=4096, chunk_elements=1 << 22
 ) -> Assignment:
     """Frozen copy of the epsilon-scaling auction as first released: one
     Jacobi round at a time, every round vectorized over its bidders, ties
     resolved by lexsort. The library's solver must return the same mapping
     and the same total_cost bits, and fail with the same ConvergenceError.
-    dense_limit and chunk_elements stand in for the library's
-    DENSE_MATRIX_LIMIT and _CHUNK_ELEMENTS (their released values)."""
+    max_bids, dense_limit and chunk_elements stand in for the library's
+    MAX_BIDS, DENSE_MATRIX_LIMIT and _CHUNK_ELEMENTS (their released
+    values); its final epsilon 1e-4 and scaling factor 4 are written out."""
     n = len(x1)
     if len(x2) != n:
         raise ValueError(f"cloud sizes differ: {len(x1)} vs {len(x2)}")
@@ -124,7 +125,7 @@ def reference_auction(
         return Assignment(mapping, 0.0, False)
 
     prices = np.zeros(n)
-    eps = max(max_cost / 4.0, config.epsilon_final)
+    eps = max(max_cost / 4.0, 1e-4)
     bids_used = 0
 
     while True:
@@ -135,10 +136,8 @@ def reference_auction(
             bidders = np.flatnonzero(item_of < 0)
             u = bidders.size
             bids_used += u
-            if bids_used > config.max_auction_rounds:
-                raise ConvergenceError(
-                    f"auction exceeded {config.max_auction_rounds} bids at epsilon {eps:g}"
-                )
+            if bids_used > max_bids:
+                raise ConvergenceError(f"auction exceeded {max_bids} bids at epsilon {eps:g}")
             values = benefit_rows(bidders) - prices
             rows = np.arange(u)
             best_item = np.argmax(values, axis=1)
@@ -162,9 +161,9 @@ def reference_auction(
             item_of[winners] = items
             unassigned = int(np.count_nonzero(item_of < 0))
 
-        if eps <= config.epsilon_final:
+        if eps <= 1e-4:
             break
-        eps = max(eps / config.epsilon_scaling_factor, config.epsilon_final)
+        eps = max(eps / 4.0, 1e-4)
 
     if dense:
         total = float(c[np.arange(n), item_of].sum())

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pointcutmix.assignment import (
-    DEFAULT_CONFIG,
+    EPSILON_FINAL,
     emd,
     optimal_assignment,
     solve_auction,
@@ -89,7 +89,7 @@ def test_criterion_02_auction_gap_certificate():
         for _ in range(67):
             a, b = random_cloud(rng, n), random_cloud(rng, n)
             gap = solve_auction(a, b).total_cost - solve_exact(a, b).total_cost
-            assert gap <= n * DEFAULT_CONFIG.epsilon_final, (n, gap)
+            assert gap <= n * EPSILON_FINAL, (n, gap)
             trials += 1
     assert trials >= 200
     elapsed = time.perf_counter() - start

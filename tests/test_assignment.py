@@ -7,9 +7,8 @@ from scipy.optimize import linear_sum_assignment
 
 from pointcutmix import assignment, ingest
 from pointcutmix.assignment import (
-    DEFAULT_CONFIG,
+    EPSILON_FINAL,
     ConvergenceError,
-    SolverConfig,
     cost_matrix,
     emd,
     optimal_assignment,
@@ -85,7 +84,7 @@ def test_auction_within_certificate_of_exact():
         approx = solve_auction(a, b)
         assert not approx.is_exact
         assert approx.total_cost >= exact.total_cost - 1e-9
-        assert approx.total_cost <= exact.total_cost + n * DEFAULT_CONFIG.epsilon_final
+        assert approx.total_cost <= exact.total_cost + n * EPSILON_FINAL
 
 
 def test_auction_certificate_at_scale():
@@ -94,7 +93,7 @@ def test_auction_certificate_at_scale():
     b = random_cloud(rng, 512)
     exact = solve_exact(a, b)
     approx = solve_auction(a, b)
-    assert approx.total_cost <= exact.total_cost + 512 * DEFAULT_CONFIG.epsilon_final
+    assert approx.total_cost <= exact.total_cost + 512 * EPSILON_FINAL
 
 
 def test_auction_is_deterministic(rng):
@@ -109,7 +108,7 @@ def test_auction_is_deterministic(rng):
 def test_auction_identical_clouds_near_zero(rng):
     a = random_cloud(rng, 128)
     result = solve_auction(a, a)
-    assert result.total_cost <= 128 * DEFAULT_CONFIG.epsilon_final
+    assert result.total_cost <= 128 * EPSILON_FINAL
 
 
 def test_auction_all_points_coincident():
@@ -126,7 +125,7 @@ def test_auction_handles_duplicate_points():
     a, b = PointCloud(dup), PointCloud(base)
     exact = solve_exact(a, b)
     approx = solve_auction(a, b)
-    assert approx.total_cost <= exact.total_cost + 10 * DEFAULT_CONFIG.epsilon_final
+    assert approx.total_cost <= exact.total_cost + 10 * EPSILON_FINAL
 
 
 def test_auction_single_point():
@@ -188,12 +187,12 @@ def test_auction_dense_memory_is_bounded(rng):
     assert peak < 1.5 * n * n * 8, f"peak {peak} bytes"
 
 
-def test_auction_bid_budget_exhaustion(rng):
+def test_auction_bid_budget_exhaustion(rng, monkeypatch):
     a = random_cloud(rng, 32)
     b = random_cloud(rng, 32)
-    tight = SolverConfig(max_auction_rounds=5)
+    monkeypatch.setattr(assignment, "MAX_BIDS", 5)
     with pytest.raises(ConvergenceError):
-        solve_auction(a, b, tight)
+        solve_auction(a, b)
 
 
 def test_optimal_assignment_dispatch(rng):
@@ -206,11 +205,11 @@ def test_optimal_assignment_dispatch(rng):
     assert not optimal_assignment(a, b).is_exact
 
 
-def test_optimal_assignment_respects_custom_threshold(rng):
+def test_optimal_assignment_respects_custom_threshold(rng, monkeypatch):
     a = random_cloud(rng, 32)
     b = random_cloud(rng, 32)
-    config = SolverConfig(exact_threshold=16)
-    assert not optimal_assignment(a, b, config).is_exact
+    monkeypatch.setattr(assignment, "EXACT_THRESHOLD", 16)
+    assert not optimal_assignment(a, b).is_exact
 
 
 WARM_SIZES = (257, 300, 1024)
@@ -238,7 +237,7 @@ def warm_inputs(kind: str, n: int):
 def test_warm_auction_is_deterministic(n):
     a, b = warm_inputs("random", n)
     first = optimal_assignment(a, b)
-    second = assignment._warm_auction(a, b, DEFAULT_CONFIG)[0]
+    second = assignment._warm_auction(a, b)[0]
     assert not first.is_exact
     assert first.mapping.tolist() == second.mapping.tolist()
     assert np.float64(first.total_cost).tobytes() == np.float64(second.total_cost).tobytes()
@@ -253,11 +252,11 @@ def test_warm_auction_certificate_and_bids(kind, n):
     c = cost_matrix(a, b)
     rows, cols = linear_sum_assignment(c)
     exact = c[rows, cols].sum()
-    warm, _, warm_bids = assignment._warm_auction(a, b, DEFAULT_CONFIG)
+    warm, _, warm_bids = assignment._warm_auction(a, b)
     coords = (a.points.astype(np.float64), b.points.astype(np.float64))
-    _, _, cold_bids = assignment._auction(*coords, DEFAULT_CONFIG, np.zeros(n), 4.0, 0)
+    _, _, cold_bids = assignment._auction(*coords, np.zeros(n), 4.0, EPSILON_FINAL, 0)
     assert warm.total_cost >= exact - 1e-9
-    assert warm.total_cost - exact <= n * DEFAULT_CONFIG.epsilon_final
+    assert warm.total_cost - exact <= n * EPSILON_FINAL
     assert warm_bids <= 1.5 * cold_bids, (warm_bids, cold_bids)
 
 
@@ -285,9 +284,9 @@ def test_warm_auction_coarse_pair_at_zero_cost_starts_from_zero(monkeypatch):
     starts = []
     real_auction = assignment._auction
 
-    def record(a, b, config, prices, eps_divisor, bids_used):
+    def record(a, b, prices, eps_divisor, eps_final, bids_used):
         starts.append(prices.copy())
-        return real_auction(a, b, config, prices, eps_divisor, bids_used)
+        return real_auction(a, b, prices, eps_divisor, eps_final, bids_used)
 
     monkeypatch.setattr(assignment, "_auction", record)
     a = PointCloud(np.ones((300, 3), dtype=np.float32))
@@ -321,14 +320,3 @@ def test_emd_translation_sensitivity():
     pts = np.zeros((4, 3), dtype=np.float32)
     shifted = pts + np.array([0.0, 0.0, 2.5], dtype=np.float32)
     assert emd(PointCloud(pts), PointCloud(shifted)) == pytest.approx(2.5)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(exact_threshold=0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon_final=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon_scaling_factor=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_auction_rounds=0)

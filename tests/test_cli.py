@@ -440,9 +440,7 @@ def test_warm_start_moves_no_random_draw(tmp_path, monkeypatch):
     data = write_dataset(tmp_path / "data", n_points=300, files_per_class=4)
     argv = ["augment", str(data), "--mode", "k", "--rho", "1", "--num-points", "300"]
     assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
-    monkeypatch.setattr(
-        assignment, "_warm_auction", lambda x1, x2, config: (solve_auction(x1, x2, config),)
-    )
+    monkeypatch.setattr(assignment, "_warm_auction", lambda x1, x2: (solve_auction(x1, x2),))
     assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
     warm, cold = output_tree(tmp_path / "warm"), output_tree(tmp_path / "cold")
     assert warm.keys() == cold.keys()

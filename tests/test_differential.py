@@ -46,7 +46,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
 from pointcutmix import assignment
-from pointcutmix.assignment import ConvergenceError, SolverConfig, solve_auction
+from pointcutmix.assignment import ConvergenceError, solve_auction
 from pointcutmix.core import PartLabels, PointCloud, SaliencyWeights
 from pointcutmix.ingest import (
     ParseError,
@@ -154,12 +154,12 @@ def test_auction_matrix_free_matches_reference(pair):
 @given(cloud_pairs(max_n=80), st.integers(1, 2000), st.booleans())
 def test_auction_bid_budget_matches_reference(pair, budget, dense):
     a, b = pair
-    config = SolverConfig(max_auction_rounds=budget)
     limit = assignment.DENSE_MATRIX_LIMIT if dense else 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assignment, "DENSE_MATRIX_LIMIT", limit)
-        got = outcome(solve_auction, a, b, config)
-    assert got == outcome(reference_auction, a, b, config, dense_limit=limit)
+        mp.setattr(assignment, "MAX_BIDS", budget)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b, max_bids=budget, dense_limit=limit)
 
 
 def test_auction_matches_reference_on_fixtures_at_1024():
@@ -205,13 +205,13 @@ def test_auction_narrow_cache_matrix_free_matches_reference(pair, width):
 @given(cloud_pairs(max_n=80), st.integers(1, 2000), st.booleans(), st.integers(2, 5))
 def test_auction_narrow_cache_bid_budget_matches_reference(pair, budget, dense, width):
     a, b = pair
-    config = SolverConfig(max_auction_rounds=budget)
     limit = assignment.DENSE_MATRIX_LIMIT if dense else 1
     with pytest.MonkeyPatch.context() as mp:
         narrow_cache(mp, width)
         mp.setattr(assignment, "DENSE_MATRIX_LIMIT", limit)
-        got = outcome(solve_auction, a, b, config)
-    assert got == outcome(reference_auction, a, b, config, dense_limit=limit)
+        mp.setattr(assignment, "MAX_BIDS", budget)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b, max_bids=budget, dense_limit=limit)
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +274,13 @@ def test_auction_small_rounds_matrix_free_match_reference(pair, every_round, wid
 @given(cloud_pairs(max_n=80), st.integers(1, 2000), st.booleans(), st.booleans(), widths)
 def test_auction_small_rounds_bid_budget_matches_reference(pair, budget, dense, every_round, width):
     a, b = pair
-    config = SolverConfig(max_auction_rounds=budget)
     limit = assignment.DENSE_MATRIX_LIMIT if dense else 1
     with pytest.MonkeyPatch.context() as mp:
         small_rounds(mp, every_round, width)
         mp.setattr(assignment, "DENSE_MATRIX_LIMIT", limit)
-        got = outcome(solve_auction, a, b, config)
-    assert got == outcome(reference_auction, a, b, config, dense_limit=limit)
+        mp.setattr(assignment, "MAX_BIDS", budget)
+        got = outcome(solve_auction, a, b)
+    assert got == outcome(reference_auction, a, b, max_bids=budget, dense_limit=limit)
 
 
 @pytest.mark.parametrize("kind", ["lattice", "duplicates"])
@@ -290,11 +290,11 @@ def test_auction_small_round_refills_break_ties_like_reference(kind, width, monk
     # holds: the bid must still take the first of them from the full row.
     rng = np.random.default_rng(width)
     a, b = PointCloud(draw_points(rng, 60, kind)), PointCloud(draw_points(rng, 60, kind))
-    config = SolverConfig(max_auction_rounds=100_000)
     small_rounds(monkeypatch, True, width)
-    expected = outcome(reference_auction, a, b, config)
+    monkeypatch.setattr(assignment, "MAX_BIDS", 100_000)
+    expected = outcome(reference_auction, a, b, max_bids=100_000)
     assert expected[0] != "ConvergenceError"
-    assert outcome(solve_auction, a, b, config) == expected
+    assert outcome(solve_auction, a, b) == expected
 
 
 @pytest.mark.parametrize(
