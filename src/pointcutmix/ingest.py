@@ -131,8 +131,8 @@ def _scan_rows(lines: list[str], start: int, n_rows: Optional[int], n_cols: int,
             rows.append([float(f) for f in fields[:n_cols]])
         except ValueError:
             raise ParseError(f"line {idx + 1}: non-numeric field") from None
-        if finite32 and not all(abs(v) < _FLOAT32_LIMIT for v in rows[-1]):
-            raise ParseError(f"line {idx + 1}: non-finite vertex coordinate")
+        if finite32 and not all(map(_finite32, rows[-1])):
+            _reject_non_finite32(np.array(rows[-1:]), "xyz", lambda row: idx + 1)
         row_lines.append(idx + 1)
     if n_rows is not None and len(rows) != n_rows:
         num = (row_lines[-1] if row_lines else start) + 1 if stop else len(lines)
@@ -140,12 +140,18 @@ def _scan_rows(lines: list[str], start: int, n_rows: Optional[int], n_cols: int,
     return np.array(rows, dtype=np.float64).reshape(-1, n_cols), row_lines
 
 
+def _finite32(values):
+    """Whether float64 values (a float or an array) round to finite float32
+    values; False for nan."""
+    return abs(values) < _FLOAT32_LIMIT
+
+
 def _reject_non_finite32(values: np.ndarray, names, line_of) -> None:
     """Raise a ParseError at the first value (row-major) that is not finite
     as float32, nan included, naming its line, line_of(row), and column."""
-    magnitude = np.abs(values)
-    if not magnitude.max(initial=0.0) < _FLOAT32_LIMIT:
-        i, j = np.argwhere(~(magnitude < _FLOAT32_LIMIT))[0]
+    finite = _finite32(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
         raise ParseError(f"line {line_of(i)}: {names[j]} {float(values[i, j])!r} is not finite as float32")
 
 
@@ -186,7 +192,7 @@ def parse_off(text) -> TriangleMesh:
     # loadtxt reads exactly the next n lines of a block, so a blank or #
     # line fails it or leaves it short; it decides only valid blocks.
     vertices, end = _read_rows_fast(lines[num : num + n_vertices], n_vertices, 3), num + n_vertices
-    if vertices is None or not (np.abs(vertices) < _FLOAT32_LIMIT).all():
+    if vertices is None or not _finite32(vertices).all():
         vertices, row_lines = _scan_rows(lines, num, n_vertices, 3, comments=True, stop=True, finite32=True)
         end = row_lines[-1] if row_lines else num
     rows = _read_rows_fast(lines[end : end + n_faces], n_faces, 4, np.int64)

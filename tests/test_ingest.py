@@ -109,6 +109,17 @@ def test_parse_off_vertex_past_float32_names_line():
             parse_off(text)
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [("0 0 0\n1e39 0 0\n0 1 0\n", 4), ("0 0 0\n# next\n1e39 0 0\n0 1 0\n", 5)],
+    ids=["loadtxt-block", "block-with-comment"],
+)
+def test_parse_off_names_value_not_finite_as_float32(body, line):
+    """OFF says what PLY and XYZ say of such a value, by either reader."""
+    with pytest.raises(ParseError, match=rf"^line {line}: x 1e\+39 is not finite as float32$"):
+        parse_off("OFF\n3 1 0\n" + body + "3 0 1 2\n")
+
+
 def test_parse_off_skips_comments_and_blanks():
     text = "# comment\nOFF\n\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n# faces\n3 0 1 2\n"
     assert parse_off(text).faces.shape == (1, 3)
