@@ -113,11 +113,13 @@ class Dataset:
 def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: bool = False) -> Dataset:
     """Walk a class-per-folder tree, parsing every recognized file once.
 
-    Files that fail to parse, lack a required per-point property, cannot be
-    normalized (a cloud without two distinct points, a mesh of zero area) or
-    would write the same output file as a file kept before them in sorted
-    order are skipped with a warning and recorded, and never enter the
-    sample index — so pairing and seeds are unaffected by their presence.
+    Entries with a recognized suffix that are not regular files (a
+    directory, a dangling link, a link loop), files that fail to parse, lack
+    a required per-point property, cannot be normalized (a cloud without two
+    distinct points, a mesh of zero area) or would write the same output
+    file as a file kept before them in sorted order are skipped with a
+    warning and recorded, and never enter the sample index — so pairing and
+    seeds are unaffected by their presence.
     """
     if not root.is_dir():
         raise InputError(f"{root}: not a directory")
@@ -129,13 +131,14 @@ def scan_dataset(root: Path, *, require_parts: bool = False, require_saliency: b
     skipped: list[dict] = []
     for class_index, class_dir in enumerate(class_dirs):
         files = sorted(
-            p for p in class_dir.iterdir()
-            if p.is_file() and p.suffix.lower() in CLOUD_SUFFIXES + MESH_SUFFIXES
+            p for p in class_dir.iterdir() if p.suffix.lower() in CLOUD_SUFFIXES + MESH_SUFFIXES
         )
         kept_by_stem: dict[str, str] = {}  # output file stem -> rel_id writing it
         for path in files:
             rel_id = f"{class_dir.name}/{path.name}"
             try:
+                if not path.is_file():
+                    raise InputError("not a regular file")
                 if path.stem in kept_by_stem:
                     raise InputError(f"output file collides with that of {kept_by_stem[path.stem]}")
                 source = _parse_source(path, rel_id, class_index)
@@ -382,19 +385,23 @@ def cmd_mix(args) -> int:
             raise InputError(
                 f"cloud sizes differ ({len(a.cloud)} vs {len(b.cloud)}); pass --num-points N"
             )
+    if args.saliency:
+        # The file weighs the first cloud's own points, so it rides the same
+        # equalize selection as an in-file saliency property.
+        raw = _load_cloud_file(Path(args.saliency))
+        if raw.saliency is None:
+            raise InputError(f"{args.saliency}: no per-point 'saliency' property")
+        if a.mesh is not None:
+            raise InputError("--saliency needs a point cloud as the first file, not a mesh")
+        if len(raw.saliency.values) != len(a.cloud):
+            raise InputError("saliency file size does not match the first cloud")
+        a.saliency = raw.saliency
     # Without --num-points both clouds keep their common size, and the
     # identity equalize draws nothing.
     num_points = args.num_points or len(a.cloud)
     cloud_a, parts_a, saliency_a = _render(a, num_points, stream)
     cloud_b, parts_b, _ = _render(b, num_points, stream)
 
-    if args.saliency:
-        raw = _load_cloud_file(Path(args.saliency))
-        if raw.saliency is None:
-            raise InputError(f"{args.saliency}: no per-point 'saliency' property")
-        if len(raw.saliency.values) != len(cloud_a):
-            raise InputError("saliency file size does not match the first cloud")
-        saliency_a = raw.saliency
     if args.mode == "s" and saliency_a is None:
         raise InputError("mode 's' needs --saliency or a 'saliency' property in the first file")
 
@@ -494,39 +501,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+def _checked(convert, valid, message: str):
+    """An argparse type: convert the text, then fail with message unless
+    valid(value), which nan never is. It takes convert's name, so argparse
+    reports text convert rejects as "invalid int value: 'abc'"."""
+
+    def check(text: str):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    check.__name__ = convert.__name__
+    return check
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _point_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be >= 2 (one point cannot be normalized)")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in [0, 1]")
-    return value
+_u64 = _checked(int, lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits")
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_point_count = _checked(int, lambda v: v >= 2, "must be >= 2 (one point cannot be normalized)")
+_positive_float = _checked(float, lambda v: v > 0, "must be > 0")
+_unit_float = _checked(float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 
 def _add_augment_flags(sub, *, default_rho: float):

@@ -228,6 +228,48 @@ def test_mix_mode_s_with_saliency_file(tmp_path):
     assert 0 <= sidecar["center_index"] < 1024
 
 
+def test_mix_saliency_file_follows_the_resized_first_cloud(tmp_path):
+    """The file weighs the first cloud's own points: a spike on a point FPS
+    keeps becomes the center, at that point's slot in the rendered cloud."""
+    rng = np.random.default_rng(6)
+    cloud_a = random_cloud(rng, 64)
+    a, b = tmp_path / "a.ply", tmp_path / "b.ply"
+    a.write_text(write_ply(cloud_a))
+    b.write_text(write_ply(random_cloud(rng, 32)))
+    kept = equalize_indices(parse_ply(a.read_text())[0], 32, make_stream(7))
+    slot = 5
+    spike = np.zeros(64, dtype=np.float32)
+    spike[kept[slot]] = 1e6
+    sal_file = tmp_path / "weights.ply"
+    sal_file.write_text(write_ply(cloud_a, saliency=SaliencyWeights(spike)))
+    out = tmp_path / "s.ply"
+    assert (
+        main(["mix", str(a), "x", str(b), "y", "--mode", "s", "--lambda", "0.5",
+              "--seed", "7", "--num-points", "32", "--saliency", str(sal_file),
+              "--out", str(out)])
+        == 0
+    )
+    assert json.loads((tmp_path / "s.ply.json").read_text())["center_index"] == slot
+
+
+def test_mix_saliency_file_with_mesh_first_is_input_error(tmp_path, capsys):
+    mesh = tmp_path / "cube.off"
+    mesh.write_text(UNIT_CUBE_OFF)
+    rng = np.random.default_rng(9)
+    sal_file = tmp_path / "weights.ply"
+    sal_file.write_text(
+        write_ply(random_cloud(rng, 32), saliency=SaliencyWeights(np.ones(32, dtype=np.float32)))
+    )
+    out = tmp_path / "s.ply"
+    assert (
+        main(["mix", str(mesh), "x", CHAIR, "y", "--mode", "s", "--num-points", "32",
+              "--saliency", str(sal_file), "--out", str(out)])
+        == 1
+    )
+    assert "not a mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mix_segmentation_full_replacement(tmp_path):
     rng = np.random.default_rng(1)
     a = tmp_path / "a.ply"
@@ -577,6 +619,30 @@ def test_augment_skips_sources_that_cannot_be_normalized(tmp_path):
     ]
 
 
+def test_augment_lists_entries_that_are_not_regular_files(tmp_path, capsys):
+    data = write_dataset(tmp_path / "data")
+    (data / "table" / "dir.ply").mkdir()
+    (data / "vase" / "loop.ply").symlink_to("loop.ply")
+    (data / "vase" / "gone.xyz").symlink_to("missing.xyz")
+    clean = tmp_path / "clean"
+    assert main(["augment", str(write_dataset(tmp_path / "clean_data")), "--num-points", "32",
+                 "--out", str(clean)]) == 0
+    runs = [(tmp_path / "one", "1"), (tmp_path / "elsewhere" / "two", "2")]
+    for out, jobs in runs:
+        assert main(["augment", str(data), "--num-points", "32", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+    manifest = read_manifest(runs[0][0])
+    assert manifest["skipped"] == [
+        {"file": "table/dir.ply", "error": "not a regular file"},
+        {"file": "vase/gone.xyz", "error": "not a regular file"},
+        {"file": "vase/loop.ply", "error": "not a regular file"},
+    ]
+    manifest["skipped"] = []
+    assert manifest == read_manifest(clean)
+    assert output_tree(runs[0][0]) == output_tree(runs[1][0])
+    assert "skipping vase/loop.ply: not a regular file" in capsys.readouterr().err
+
+
 def test_augment_skips_xyz_with_non_finite_coordinate_naming_line(tmp_path):
     data = write_dataset(tmp_path / "data")
     far = data / "table" / "far.xyz"
@@ -840,6 +906,43 @@ def test_bad_flag_value_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["augment", "somewhere", "--rho", "1.5", "--out", "x"])
     assert exc.value.code == 1
+
+
+AUGMENT = ["augment", "data", "--out", "x"]
+EMD = ["emd", "a.ply", "b.ply"]
+MIX = ["mix", "a.ply", "x", "b.ply", "y", "--out", "m.ply"]
+
+
+BAD_FLAG_VALUES = [
+    (AUGMENT, "--seed", "-1", "seed must fit in 64 unsigned bits"),
+    (EMD, "--seed", str(2**64), "seed must fit in 64 unsigned bits"),
+    (MIX, "--seed", "abc", "invalid int value: 'abc'"),
+    (AUGMENT, "--num-points", "1", "must be >= 2 (one point cannot be normalized)"),
+    (AUGMENT, "--num-points", "2.5", "invalid int value: '2.5'"),
+    (AUGMENT, "--epochs", "0", "must be >= 1"),
+    (AUGMENT, "--jobs", "-3", "must be >= 1"),
+    (EMD, "--equalize", "0", "must be >= 1"),
+    (MIX, "--num-points", "0", "must be >= 1"),
+    (AUGMENT, "--beta", "0", "must be > 0"),
+    (MIX, "--beta", "nan", "must be > 0"),
+    (MIX, "--beta", "abc", "invalid float value: 'abc'"),
+    (AUGMENT, "--rho", "1.5", "must be in [0, 1]"),
+    (AUGMENT, "--rho", "nan", "must be in [0, 1]"),
+    (MIX, "--lambda", "-0.1", "must be in [0, 1]"),
+    (MIX, "--lambda", "nan", "must be in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    BAD_FLAG_VALUES,
+    ids=[f"{argv[0]} {flag} {value}" for argv, flag, value, _ in BAD_FLAG_VALUES],
+)
+def test_bad_flag_values_name_the_flag_and_rule(capsys, argv, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["augment", "segment-augment"])
