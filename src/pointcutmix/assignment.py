@@ -138,8 +138,8 @@ def cost_matrix(x1: PointCloud, x2: PointCloud) -> np.ndarray:
 def solve_exact(x1: PointCloud, x2: PointCloud) -> Assignment:
     """Minimum-cost bijection, solved exactly.
 
-    O(N^3); intended for N up to EXACT_THRESHOLD, though
-    nothing but patience caps it.
+    O(N^3); intended for N up to EXACT_THRESHOLD, though nothing but
+    patience caps it.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -153,8 +153,7 @@ def solve_auction(x1: PointCloud, x2: PointCloud) -> Assignment:
 
     Terminates with a complete assignment satisfying epsilon-complementary
     slackness at the final epsilon, so the returned total cost is within
-    N * EPSILON_FINAL of the exact optimum. Deterministic for fixed
-    inputs.
+    N * EPSILON_FINAL of the exact optimum. Deterministic for fixed inputs.
 
     Bids read each bidder's top-m cache (see the module docstring), which
     persists across epsilon phases; only bids it cannot decide read the
@@ -183,8 +182,8 @@ def _auction(a, b, prices, eps_divisor, eps_final, bids_used):
     """The auction of solve_auction() on at least two float64 coordinate
     rows, started from prices (updated in place) at epsilon max_cost /
     eps_divisor and ended at eps_final, with bids_used bids already spent
-    from the budget. Returns
-    the assignment, its final prices and the bids used in all."""
+    from the budget. Returns the assignment, its final prices and the bids
+    used in all."""
     n = len(a)
     if n <= DENSE_MATRIX_LIMIT:
         # Benefits are negated costs. Negation is exact, so every bid below
@@ -291,9 +290,7 @@ def _auction(a, b, prices, eps_divisor, eps_final, bids_used):
         return int(j), best_value - values[values.argmax()] + eps
 
     def over_budget():
-        return ConvergenceError(
-            f"auction exceeded {MAX_BIDS} bids at epsilon {eps:g}"
-        )
+        return ConvergenceError(f"auction exceeded {MAX_BIDS} bids at epsilon {eps:g}")
 
     eps = max(max_cost / eps_divisor, eps_final)
 
