@@ -12,6 +12,9 @@ Produces, under tests/fixtures/:
   golden_mix_k.ply(+.json)  output of `pointcutmix mix --mode k --beta 1
                             --seed 1` on the two shape fixtures, frozen
                             after structural validation below
+  golden_outputs.json       sha256 of stdout and of every written file of
+                            the golden runs in tools/same_bytes.py (every
+                            command, mode and solver route), at GOLDEN_SEED
 
 Regenerating overwrites the committed files; the byte-compare tests then
 pin whatever this produced. Fixture bytes depend on numpy's generator
@@ -21,7 +24,9 @@ algorithms, so regeneration belongs with a numpy upgrade, not routine runs.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +47,10 @@ from pointcutmix.ingest import (
 from pointcutmix.neighbors import build_index
 from pointcutmix.rng import make_stream
 
+from same_bytes import golden_hashes
+
 FIXTURES = ROOT / "tests" / "fixtures"
+GOLDEN_SEED = 5
 
 _BOX_FACES = np.array(
     [
@@ -132,8 +140,6 @@ def make_emd_fixtures():
 def validate_golden(golden_path: Path):
     """Re-derive every structural claim about the golden mix from its own
     provenance before trusting its bytes."""
-    import json
-
     sidecar = json.loads(Path(str(golden_path) + ".json").read_text())
     mixed, _, _ = parse_ply(golden_path.read_text())
     chair, _, _ = parse_ply((FIXTURES / "chair.ply").read_text())
@@ -176,6 +182,14 @@ def make_golden_mix():
     print(f"wrote {out}")
 
 
+def make_golden_outputs():
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = golden_hashes(ROOT / "src", Path(tmp), GOLDEN_SEED)
+    out = FIXTURES / "golden_outputs.json"
+    out.write_text(json.dumps({"seed": GOLDEN_SEED, "runs": runs}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out} ({len(runs)} runs)")
+
+
 def main():
     import os
 
@@ -184,6 +198,7 @@ def main():
     make_shape_fixtures()
     make_emd_fixtures()
     make_golden_mix()
+    make_golden_outputs()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ PLY and an OFF mesh, N = 2048). Each command below then runs once per tree,
 in a fresh interpreter with that tree first on PYTHONPATH and its own empty
 working directory, so that relative output paths name the same files.
 
+The golden runs below, from seed S, run as well: small runs covering every
+command, mode and solver route, whose output hashes at one fixed seed are
+committed as tests/fixtures/golden_outputs.json (see tools/gen_fixtures.py).
+
 stdout and every written file are compared byte for byte; each path that
 differs is printed. The exit status is 1 on any difference or any non-zero
 exit code of a run, else 0.
@@ -20,6 +24,7 @@ exit code of a run, else 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+import numpy as np  # noqa: E402
 
 
 def make_runs(data: Path, seed: int) -> dict[str, list[str]]:
@@ -49,6 +55,51 @@ def make_runs(data: Path, seed: int) -> dict[str, list[str]]:
                 "--num-points", "2048", "--seed", s, "--out", "mix.ply"],
         "emd-equalize": ["emd", a, b, "--equalize", "200", "--seed", s, "--dump-assignment", "map.txt"],
         "sample": ["sample", mesh, "--normalize", "--seed", s, "--out", "sample.ply"],
+    }
+
+
+def golden_runs(work: Path, seed: int) -> dict[str, list[str]]:
+    """Writes small inputs under work/golden; returns the CLI arguments of
+    runs covering every command, mode k, r and s, and both solver routes
+    (N = 300 auction, N <= 256 exact). Input paths are relative to a run
+    directory two levels below work, so the outputs that record them do not
+    depend on where work is."""
+    data = work / "golden"
+    rng = np.random.default_rng(seed)
+    for cls in ("chair", "airplane"):
+        (data / "set" / cls).mkdir(parents=True)
+        for i in range(2):
+            points, parts = gen.surface_sample(*gen.instance_mesh(cls, rng), 400, rng)
+            gen.write_ply(data / "set" / cls / f"{cls}_{i}.ply", points, parts, rng.random(400))
+    pair = gen.make_oneshot_pairs(data / "pair", seed, pairs=1, points=400, mesh_grid=3)[0]
+    rel = Path("..", "..", "golden")
+    dataset, s = str(rel / "set"), str(seed)
+    a, b, mesh = (str(rel / "pair" / pair[key].name) for key in ("a", "b", "b_mesh"))
+    runs = {
+        f"augment-{mode}-n{n}": ["augment", dataset, "--mode", mode, "--num-points", str(n),
+                                 "--seed", s, "--out", "out"]
+        for n in (300, 200) for mode in ("k", "r", "s")
+    }
+    runs.update({
+        "segment-augment-r-n300": ["segment-augment", dataset, "--mode", "r", "--num-points", "300",
+                                   "--seed", s, "--out", "out"],
+        "emd-dump-n400": ["emd", a, b, "--dump-assignment", "map.txt"],
+        "emd-equalize-n200": ["emd", a, b, "--equalize", "200", "--seed", s, "--dump-assignment", "map.txt"],
+        "mix-k-n400": ["mix", a, "chair", b, "airplane", "--mode", "k", "--seed", s, "--out", "mix.ply"],
+        "mix-s-mesh-n300": ["mix", a, "chair", mesh, "airplane", "--mode", "s", "--num-points", "300",
+                            "--seed", s, "--out", "mix.ply"],
+        "sample-mesh-n300": ["sample", mesh, "--num-points", "300", "--normalize", "--seed", s,
+                             "--out", "sample.ply"],
+    })
+    return runs
+
+
+def golden_hashes(src: Path, work: Path, seed: int) -> dict[str, dict[str, str]]:
+    """The sha256 of stdout and of every file each golden run writes with
+    src's package, keyed by run name and output path."""
+    return {
+        name: {path: hashlib.sha256(data).hexdigest() for path, data in run(src, argv, work / "runs" / name).items()}
+        for name, argv in golden_runs(work, seed).items()
     }
 
 
@@ -77,7 +128,8 @@ def main(argv=None) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, cli_args in make_runs(work / "data", args.seed).items():
+        runs = {**make_runs(work / "data", args.seed), **golden_runs(work, args.seed)}
+        for name, cli_args in runs.items():
             outputs = {}
             for side, src in srcs.items():
                 try:
