@@ -18,7 +18,6 @@ from .core import (
     Assignment,
     AugmentPolicy,
     LabelDistribution,
-    MixParams,
     MixedSample,
     PartLabels,
     PointCloud,
@@ -59,7 +58,6 @@ __all__ = [
     "AugmentPolicy",
     "ConvergenceError",
     "LabelDistribution",
-    "MixParams",
     "MixedSample",
     "ParseError",
     "PartLabels",

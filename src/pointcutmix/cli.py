@@ -273,11 +273,9 @@ def augment_sample(run: AugmentRun, epoch: int, sample_index: int) -> dict:
             lam,
             policy.mode,
             stream,
-            beta=policy.beta,
             saliency=saliency_a,
             parts1=parts_a if run.segmentation else None,
             parts2=parts_b if run.segmentation else None,
-            source_ids=(source.rel_id, partner.rel_id),
         )
         entry["source_b_id"] = partner.rel_id
 
@@ -416,11 +414,9 @@ def cmd_mix(args) -> int:
     lam = args.lam if args.lam is not None else sample_lambda(args.beta, stream)
     sample = mix_pair(
         cloud_a, y_a, cloud_b, y_b, lam, args.mode, stream,
-        beta=args.beta,
         saliency=saliency_a,
         parts1=parts_a if segmentation else None,
         parts2=parts_b if segmentation else None,
-        source_ids=(str(args.file_a), str(args.file_b)),
     )
 
     out_path = Path(args.out)

@@ -208,30 +208,6 @@ class ReplacementMask:
 
 
 @dataclass(frozen=True)
-class MixParams:
-    """Parameters that produced one mix: the sampled ratio, the kept count,
-    the replacement mode, and the Beta shape it was drawn with.
-
-    mode and beta are None for masks built directly rather than sampled.
-    """
-
-    lam: float
-    n_kept: int
-    mode: Optional[str] = None
-    beta: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"mix ratio must lie in [0, 1], got {self.lam}")
-        if self.n_kept < 0:
-            raise ValueError("n_kept must be >= 0")
-        if self.mode is not None and self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class AugmentPolicy:
     """Everything governing stochastic choices of the batch driver."""
 
@@ -255,21 +231,23 @@ class AugmentPolicy:
 class MixedSample:
     """An augmented cloud with its blended label and full provenance.
 
-    The recorded mask, assignment and center allow every structural claim
-    about the sample to be re-verified after the fact.
+    lam is the keep ratio in [0, 1] the sample was mixed at, the record
+    behind its floor(lam * N) kept points; a closed gate keeps all, at
+    lam = 1. The recorded mask, assignment and center allow every
+    structural claim about the sample to be re-verified after the fact.
     """
 
     cloud: PointCloud
     label: LabelDistribution
     mask: ReplacementMask
-    params: MixParams
+    lam: float
     part_labels: Optional[PartLabels] = None
     assignment: Optional[Assignment] = None  # None when the gate stayed closed
     center_index: Optional[int] = None  # set for neighborhood modes
-    source_ids: tuple = ()
-    gated: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"mix ratio must lie in [0, 1], got {self.lam}")
         n = len(self.cloud)
         if len(self.mask) != n:
             raise ValueError("mask length does not match cloud size")
@@ -277,6 +255,11 @@ class MixedSample:
             raise ValueError("part labels length does not match cloud size")
         if self.assignment is not None and len(self.assignment) != n:
             raise ValueError("assignment length does not match cloud size")
+
+    @property
+    def gated(self) -> bool:
+        """Whether the gate stayed closed, leaving the sample unmixed."""
+        return self.assignment is None
 
     @property
     def lam_effective(self) -> float:
@@ -289,20 +272,6 @@ class MixedSample:
         cloud: PointCloud,
         label: LabelDistribution,
         part_labels: Optional[PartLabels] = None,
-        source_ids: tuple = (),
-        *,
-        mode: Optional[str] = None,
-        beta: Optional[float] = None,
     ) -> "MixedSample":
-        """An unmixed sample (closed gate): everything kept, label untouched.
-        mode and beta record the policy whose gate stayed closed, if any."""
-        n = len(cloud)
-        return cls(
-            cloud=cloud,
-            label=label,
-            mask=ReplacementMask.all_kept(n),
-            params=MixParams(lam=1.0, n_kept=n, mode=mode, beta=beta),
-            part_labels=part_labels,
-            gated=True,
-            source_ids=tuple(source_ids),
-        )
+        """An unmixed sample (closed gate): everything kept, label untouched."""
+        return cls(cloud, label, ReplacementMask.all_kept(len(cloud)), 1.0, part_labels)

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .assignment import optimal_assignment
 from .core import (
+    MODES,
     Assignment,
     AugmentPolicy,
     LabelDistribution,
     MixedSample,
-    MixParams,
     PartLabels,
     PointCloud,
     ReplacementMask,
@@ -98,28 +98,25 @@ def apply_mix(
     assignment: Assignment,
     mask: ReplacementMask,
     *,
-    params: Optional[MixParams] = None,
+    lam: Optional[float] = None,
     center_index: Optional[int] = None,
-    source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """Combine the pair: point i is x1's where the mask keeps it, else x2's
-    point assigned to slot i. The label weight on y1 is exactly n_kept/N."""
+    point assigned to slot i. The label weight on y1 is exactly n_kept/N,
+    and lam, the ratio the mask was built at, defaults to it."""
     _check_pair(x1, y1, x2, y2)
     n_total = len(x1)
     if len(mask.keep) != n_total or len(assignment) != n_total:
         raise ValueError("mask and assignment must match the cloud size")
     points = np.where(mask.keep[:, None], x1.points, x2.points[assignment.mapping])
     lam_eff = mask.n_kept / n_total
-    if params is None:
-        params = MixParams(lam=lam_eff, n_kept=mask.n_kept, mode=None, beta=None)
     return MixedSample(
         cloud=PointCloud(points),
         label=_blend_label(y1, y2, lam_eff),
         mask=mask,
-        params=params,
+        lam=lam_eff if lam is None else lam,
         assignment=assignment,
         center_index=center_index,
-        source_ids=tuple(source_ids),
     )
 
 
@@ -133,17 +130,13 @@ def apply_mix_segmentation(
     assignment: Assignment,
     mask: ReplacementMask,
     *,
-    params: Optional[MixParams] = None,
+    lam: Optional[float] = None,
     center_index: Optional[int] = None,
-    source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """As apply_mix, with per-point part labels travelling with their points."""
     if len(parts1.labels) != len(x1) or len(parts2.labels) != len(x2):
         raise ValueError("part labels must match their cloud size")
-    base = apply_mix(
-        x1, y1, x2, y2, assignment, mask,
-        params=params, center_index=center_index, source_ids=source_ids,
-    )
+    base = apply_mix(x1, y1, x2, y2, assignment, mask, lam=lam, center_index=center_index)
     labels = np.where(mask.keep, parts1.labels, parts2.labels[assignment.mapping])
     return dataclasses.replace(base, part_labels=PartLabels(labels))
 
@@ -176,17 +169,19 @@ def mix_pair(
     mode: str,
     rng: RngStream,
     *,
-    beta: Optional[float] = None,
     saliency: Optional[SaliencyWeights] = None,
     parts1: Optional[PartLabels] = None,
     parts2: Optional[PartLabels] = None,
-    source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """Mix two clouds at a given ratio: n = floor(lam * N) points of x1
     survive, the rest come from x2 under the optimal assignment. Handles
     the classification and (when part labels are given) segmentation cases.
     """
     _check_pair(x1, y1, x2, y2)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"mix ratio must lie in [0, 1], got {lam}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "s" and saliency is None:
         raise ValueError("mode 's' requires saliency weights for the first cloud")
     if saliency is not None and len(saliency.values) != len(x1):
@@ -197,16 +192,11 @@ def mix_pair(
     n = int(math.floor(lam * len(x1)))
     assignment = optimal_assignment(x1, x2)
     mask, center = _build_mask(x1, n, mode, rng, saliency)
-    params = MixParams(lam=lam, n_kept=mask.n_kept, mode=mode, beta=beta)
     if parts1 is not None:
         return apply_mix_segmentation(
-            x1, parts1, y1, x2, parts2, y2, assignment, mask,
-            params=params, center_index=center, source_ids=source_ids,
+            x1, parts1, y1, x2, parts2, y2, assignment, mask, lam=lam, center_index=center
         )
-    return apply_mix(
-        x1, y1, x2, y2, assignment, mask,
-        params=params, center_index=center, source_ids=source_ids,
-    )
+    return apply_mix(x1, y1, x2, y2, assignment, mask, lam=lam, center_index=center)
 
 
 def pointcutmix(
@@ -220,7 +210,6 @@ def pointcutmix(
     saliency: Optional[SaliencyWeights] = None,
     parts1: Optional[PartLabels] = None,
     parts2: Optional[PartLabels] = None,
-    source_ids: Sequence[str] = (),
 ) -> MixedSample:
     """Full augmentation step: a Bernoulli(mix_prob) gate decides whether to
     mix at all; open gates draw lam ~ Beta(beta, beta) and defer to mix_pair.
@@ -231,12 +220,8 @@ def pointcutmix(
     """
     _check_pair(x1, y1, x2, y2)
     if rng.random() >= policy.mix_prob:
-        return MixedSample.passthrough(
-            x1, y1, parts1, source_ids, mode=policy.mode, beta=policy.beta
-        )
+        return MixedSample.passthrough(x1, y1, parts1)
     lam = sample_lambda(policy.beta, rng)
     return mix_pair(
-        x1, y1, x2, y2, lam, policy.mode, rng,
-        beta=policy.beta, saliency=saliency, parts1=parts1, parts2=parts2,
-        source_ids=source_ids,
+        x1, y1, x2, y2, lam, policy.mode, rng, saliency=saliency, parts1=parts1, parts2=parts2
     )

@@ -140,7 +140,7 @@ def test_mix_num_points_draw_order(tmp_path, sizes):
     argv = ["mix", str(a), "x", str(b), "y", "--num-points", "24", "--seed", "21",
             "--lambda", "0.5", "--mode", "k", "--out", str(out)]
     assert main(argv) == 0
-    expected = mix_pair(ca, one_hot(0, 2), cb, one_hot(1, 2), 0.5, "k", stream, beta=1.0)
+    expected = mix_pair(ca, one_hot(0, 2), cb, one_hot(1, 2), 0.5, "k", stream)
     assert out.read_bytes() == write_ply(expected.cloud).encode()
 
 

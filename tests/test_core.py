@@ -6,7 +6,6 @@ from pointcutmix.core import (
     AugmentPolicy,
     LabelDistribution,
     MixedSample,
-    MixParams,
     PartLabels,
     PointCloud,
     ReplacementMask,
@@ -111,21 +110,6 @@ def test_replacement_mask():
         ReplacementMask.from_kept_indices(np.array([4]), 4)
 
 
-def test_mix_params_validation():
-    MixParams(lam=0.5, n_kept=8, mode="k", beta=1.0)
-    MixParams(lam=0.0, n_kept=0, mode=None, beta=None)
-    with pytest.raises(ValueError):
-        MixParams(lam=-0.1, n_kept=0, mode="r", beta=1.0)
-    with pytest.raises(ValueError):
-        MixParams(lam=1.1, n_kept=0, mode="r", beta=1.0)
-    with pytest.raises(ValueError):
-        MixParams(lam=0.5, n_kept=-1, mode="r", beta=1.0)
-    with pytest.raises(ValueError):
-        MixParams(lam=0.5, n_kept=1, mode="q", beta=1.0)
-    with pytest.raises(ValueError):
-        MixParams(lam=0.5, n_kept=1, mode="r", beta=0.0)
-
-
 def test_augment_policy_validation():
     AugmentPolicy()
     AugmentPolicy(beta=2.0, mix_prob=0.5, mode="s", seed=7)
@@ -143,17 +127,19 @@ def test_mixed_sample_consistency():
     cloud = PointCloud(np.zeros((4, 3), dtype=np.float32))
     label = LabelDistribution(np.array([1.0]))
     mask = ReplacementMask(np.array([True, True, False, False]))
-    params = MixParams(lam=0.5, n_kept=2, mode="r", beta=1.0)
-    sample = MixedSample(cloud=cloud, label=label, mask=mask, params=params)
+    sample = MixedSample(cloud=cloud, label=label, mask=mask, lam=0.5)
     assert sample.lam_effective == 0.5
+    for lam in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="mix ratio"):
+            MixedSample(cloud=cloud, label=label, mask=mask, lam=lam)
 
     bad_mask = ReplacementMask(np.array([True, True, False]))
     with pytest.raises(ValueError):
-        MixedSample(cloud=cloud, label=label, mask=bad_mask, params=params)
+        MixedSample(cloud=cloud, label=label, mask=bad_mask, lam=0.5)
 
     labels = PartLabels(np.zeros(3, dtype=np.int32))
     with pytest.raises(ValueError):
-        MixedSample(cloud=cloud, label=label, mask=mask, params=params, part_labels=labels)
+        MixedSample(cloud=cloud, label=label, mask=mask, lam=0.5, part_labels=labels)
 
 
 def test_saliency_weights_finite():

@@ -7,7 +7,6 @@ from pointcutmix.core import (
     Assignment,
     AugmentPolicy,
     LabelDistribution,
-    MixParams,
     PartLabels,
     PointCloud,
     ReplacementMask,
@@ -302,7 +301,7 @@ def test_mix_pair_kept_count_is_floor_of_lambda(rng):
     for lam in (0.0, 0.05, 0.1, 0.15, 1.0 / 3.0, 0.5, 0.99, 1.0):
         out = mix_pair(x1, y1, x2, y2, lam, "r", make_stream(2))
         assert out.mask.n_kept == math.floor(lam * 10)
-        assert out.params.lam == lam
+        assert out.lam == lam
 
 
 def test_mix_pair_mode_k_zero_kept(rng):
@@ -323,6 +322,19 @@ def test_mix_pair_mode_s_requires_saliency(rng):
             x1, y, x2, y, 0.5, "s", make_stream(0),
             saliency=SaliencyWeights(np.ones(5, dtype=np.float32)),
         )
+
+
+def test_mix_pair_rejects_bad_mode_or_ratio_before_solving(rng, monkeypatch):
+    solves = []
+    monkeypatch.setattr("pointcutmix.mixer.optimal_assignment", lambda *args: solves.append(args))
+    x1, x2 = random_cloud(rng, 6), random_cloud(rng, 6)
+    y = one_hot(0, 2)
+    with pytest.raises(ValueError, match="mode must be one of .* got 'q'"):
+        mix_pair(x1, y, x2, y, 0.5, "q", make_stream(0))
+    for lam, text in ((1.5, "1.5"), (-0.5, "-0.5"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=f"mix ratio must lie in \\[0, 1\\], got {text}"):
+            mix_pair(x1, y, x2, y, lam, "r", make_stream(0))
+    assert solves == []
 
 
 def test_mix_pair_mode_s_uses_dominant_weight(rng):
@@ -389,11 +401,10 @@ def test_pointcutmix_gated_sample_records_policy(rng):
     x1, x2 = random_cloud(rng, 16), random_cloud(rng, 16)
     y1, y2 = one_hot(0, 2), one_hot(1, 2)
     pol = policy(mix_prob=0.0, mode="r", beta=0.4)
-    out = pointcutmix(x1, y1, x2, y2, pol, make_stream(3), source_ids=["a", "b"])
-    assert out.gated
-    assert out.params == MixParams(lam=1.0, n_kept=16, mode="r", beta=0.4)
+    out = pointcutmix(x1, y1, x2, y2, pol, make_stream(3))
+    assert out.gated and out.lam == 1.0
     assert out.mask.keep.all() and out.center_index is None
-    assert out.part_labels is None and out.source_ids == ("a", "b")
+    assert out.part_labels is None
 
 
 def test_pointcutmix_gate_consumes_exactly_one_draw(rng):
@@ -413,7 +424,7 @@ def test_pointcutmix_mode_k_structural(rng):
     out = pointcutmix(x1, y1, x2, y2, policy(mode="k", seed=1), make_stream(11))
     assert not out.gated
     n_kept = out.mask.n_kept
-    assert n_kept == math.floor(out.params.lam * n)
+    assert n_kept == math.floor(out.lam * n)
     if 0 < n_kept:
         expected = set(linear_scan_knn(x1.points, out.center_index, n_kept).tolist())
         assert set(np.flatnonzero(out.mask.keep).tolist()) == expected
@@ -475,7 +486,7 @@ def test_pointcutmix_deterministic(rng):
     assert np.array_equal(a.cloud.points.view(np.uint32), b.cloud.points.view(np.uint32))
     assert np.array_equal(a.label.weights, b.label.weights)
     assert np.array_equal(a.mask.keep, b.mask.keep)
-    assert a.params == b.params
+    assert a.lam == b.lam
     assert a.center_index == b.center_index
 
 
