@@ -67,6 +67,10 @@ def _split_lines(text: str) -> list[str]:
 
 
 _INT32_MIN, _INT32_MAX = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+_PLY_TYPES = frozenset(  # scalar property types, under their old and their sized names
+    "char uchar short ushort int uint float double "
+    "int8 uint8 int16 uint16 int32 uint32 float32 float64".split()
+)
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103  # float64 magnitudes below it round to a finite float32
 
 # Control characters that str.split() takes for whitespace: a body holding
@@ -222,7 +226,9 @@ def parse_off(text) -> TriangleMesh:
 def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[SaliencyWeights]]:
     """Parse an ASCII PLY vertex cloud. Properties x, y, z are required;
     integer "label" and float "saliency" properties are picked up when
-    present, other properties are ignored. Binary PLY is rejected."""
+    present, other properties are ignored. Binary PLY, a header without a
+    format line, and a vertex property of unknown type or declared twice
+    are rejected."""
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     lines = _split_lines(text)
@@ -231,7 +237,8 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
 
     n_vertices = None
     properties: list[str] = []
-    in_vertex_element = False
+    element = None
+    has_format = False
     body_start = None
     for idx in range(1, len(lines)):
         line = lines[idx].strip()
@@ -247,23 +254,27 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
             if len(fields) < 2 or fields[1] != "ascii":
                 kind = fields[1] if len(fields) > 1 else "?"
                 raise ParseError(f"line {num}: unsupported PLY format {kind!r} (ASCII only)")
+            has_format = True
         elif keyword == "element":
             if len(fields) < 3:
                 raise ParseError(f"line {num}: malformed element declaration")
-            name, count = fields[1], _element_count(fields[2], num)
-            if name == "vertex":
+            element, count = fields[1], _element_count(fields[2], num)
+            if element == "vertex":
                 n_vertices = count
-                in_vertex_element = True
-            else:
-                if count > 0:
-                    raise ParseError(f"line {num}: unsupported element {name!r} with {count} entries")
-                in_vertex_element = False
+            elif count > 0:
+                raise ParseError(f"line {num}: unsupported element {element!r} with {count} entries")
         elif keyword == "property":
-            if in_vertex_element:
+            if element is None:
+                raise ParseError(f"line {num}: property declared before any element")
+            if element == "vertex":
                 if len(fields) < 3:
                     raise ParseError(f"line {num}: malformed property declaration")
                 if fields[1] == "list":
                     raise ParseError(f"line {num}: list property {fields[-1]!r} in the vertex element")
+                if fields[1] not in _PLY_TYPES:
+                    raise ParseError(f"line {num}: unknown property type {fields[1]!r}")
+                if fields[-1] in properties:
+                    raise ParseError(f"line {num}: property {fields[-1]!r} declared twice")
                 properties.append(fields[-1])
         elif keyword == "obj_info":
             continue
@@ -271,11 +282,13 @@ def parse_ply(text) -> tuple[PointCloud, Optional[PartLabels], Optional[Saliency
             raise ParseError(f"line {num}: unrecognized header keyword {keyword!r}")
     if body_start is None:
         raise ParseError(f"line {len(lines)}: PLY header never reaches end_header")
+    if not has_format:
+        raise ParseError(f"line {body_start}: PLY header has no format line")
     if n_vertices is None:
-        raise ParseError("PLY header declares no vertex element")
+        raise ParseError(f"line {body_start}: PLY header declares no vertex element")
     for required in ("x", "y", "z"):
         if required not in properties:
-            raise ParseError(f"PLY vertex element lacks required property {required!r}")
+            raise ParseError(f"line {body_start}: PLY vertex element lacks required property {required!r}")
 
     columns = {name: i for i, name in enumerate(properties)}
     rows = _read_rows_fast(lines[body_start:], n_vertices, len(properties))
