@@ -311,7 +311,8 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
             import scipy.optimize  # noqa: F401
 
         # fork shares the parsed dataset with workers copy-on-write; each
-        # task is independent, so any schedule yields identical bytes.
+        # task is independent and map returns results in task order, so
+        # any schedule yields identical bytes.
         global _WORKER_RUN
         _WORKER_RUN = run
         try:
@@ -322,7 +323,6 @@ def run_augment(run: AugmentRun, jobs: int) -> dict:
         finally:
             _WORKER_RUN = None
 
-    entries.sort(key=lambda e: (e["epoch"], e["sample_index"]))
     mixed = sum("source_b_id" in e for e in entries)
     manifest = {
         "command": "segment-augment" if run.segmentation else "augment",
