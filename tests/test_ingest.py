@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -399,36 +400,22 @@ def test_ply_ignores_list_property_of_empty_face_element(body_reads):
     assert labels.labels.tolist() == [4]
 
 
-def test_ply_rejects_property_declared_twice():
-    text = LABELED_HEADER.format(n=1).replace("float x\n", "float x\nproperty float x\n") + "1 2 3 4 5\n"
-    with pytest.raises(ParseError, match="^line 5: property 'x' declared twice$"):
-        parse_ply(text)
-
-
-def test_ply_rejects_unknown_property_type():
-    text = LABELED_HEADER.format(n=1).replace("float x", "flaot x") + "1 2 3 4\n"
-    with pytest.raises(ParseError, match="^line 4: unknown property type 'flaot'$"):
-        parse_ply(text)
-
-
-def test_ply_rejects_header_without_format_line():
-    text = LABELED_HEADER.format(n=1).replace("format ascii 1.0\n", "") + "1 2 3 4\n"
-    with pytest.raises(ParseError, match="^line 7: PLY header has no format line$"):
-        parse_ply(text)
-
-
-def test_ply_rejects_property_before_any_element():
-    text = "ply\nformat ascii 1.0\nproperty float x\nend_header\n"
-    with pytest.raises(ParseError, match="^line 3: property declared before any element$"):
-        parse_ply(text)
-
-
-def test_ply_header_errors_name_the_end_header_line():
-    text = "ply\nformat ascii 1.0\ncomment none\nend_header\n"
-    with pytest.raises(ParseError, match="^line 4: PLY header declares no vertex element$"):
-        parse_ply(text)
-    text = LABELED_HEADER.format(n=1).replace("property float z\n", "") + "1 2 3\n"
-    with pytest.raises(ParseError, match="^line 7: PLY vertex element lacks required property 'z'$"):
+@pytest.mark.parametrize("text, message", [
+    (LABELED_HEADER.format(n=1).replace("float x\n", "float x\nproperty float x\n") + "1 2 3 4 5\n",
+     "line 5: property 'x' declared twice"),
+    (LABELED_HEADER.format(n=1).replace("float x", "flaot x") + "1 2 3 4\n",
+     "line 4: unknown property type 'flaot'"),
+    (LABELED_HEADER.format(n=1).replace("format ascii 1.0\n", "") + "1 2 3 4\n",
+     "line 7: PLY header has no format line"),
+    ("ply\nformat ascii 1.0\nproperty float x\nend_header\n",
+     "line 3: property declared before any element"),
+    ("ply\nformat ascii 1.0\ncomment none\nend_header\n",
+     "line 4: PLY header declares no vertex element"),
+    (LABELED_HEADER.format(n=1).replace("property float z\n", "") + "1 2 3\n",
+     "line 7: PLY vertex element lacks required property 'z'"),
+], ids=["duplicate", "unknown-type", "no-format", "property-first", "no-vertex", "no-z"])
+def test_ply_rejects_ambiguous_header(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_ply(text)
 
 
