@@ -97,10 +97,11 @@ def golden_runs(work: Path, seed: int) -> dict[str, list[str]]:
 def golden_hashes(src: Path, work: Path, seed: int) -> dict[str, dict[str, str]]:
     """The sha256 of stdout and of every file each golden run writes with
     src's package, keyed by run name and output path."""
-    return {
-        name: {path: hashlib.sha256(data).hexdigest() for path, data in run(src, argv, work / "runs" / name).items()}
-        for name, argv in golden_runs(work, seed).items()
-    }
+    hashes = {}
+    for name, argv in golden_runs(work, seed).items():
+        outputs = run(src, argv, work / "runs" / name)
+        hashes[name] = {path: hashlib.sha256(data).hexdigest() for path, data in outputs.items()}
+    return hashes
 
 
 def run(src: Path, argv: list[str], cwd: Path) -> dict[str, bytes]:
